@@ -17,11 +17,11 @@
  *    only on a hit. Invalid ways hold kAddrInvalid in the tag lane, so
  *    the scan needs no separate valid check.
  *
- *  - Infinite mode is an open-addressed, power-of-two hash table with
- *    linear probing instead of a node-based unordered_map: no pointer
- *    chasing, no per-entry allocation. Entries are never removed --
- *    invalidation clears the coherence state but keeps the key, so
- *    probe chains stay intact and a block's slot is stable until the
+ *  - Infinite mode keeps the frames in a FlatMap (sim/flat_map.hh),
+ *    the open-addressed table the miss-path maps share: no pointer
+ *    chasing, no per-entry allocation, keys probed in their own lane.
+ *    Entries are never removed -- invalidation clears the coherence
+ *    state but keeps the key -- so a block's slot is stable until the
  *    table grows.
  */
 
@@ -32,6 +32,7 @@
 #include <functional>
 #include <vector>
 
+#include "sim/flat_map.hh"
 #include "sim/types.hh"
 
 namespace psim
@@ -142,24 +143,6 @@ class CacheArray
                 (blk_addr >> _blockShift) & (_numSets - 1));
     }
 
-    /**
-     * Fibonacci hash: a single multiply whose high bits index the
-     * table. The footprints the paper's workloads build are small
-     * enough that the table stays cache-resident, so hash latency sits
-     * directly on the probe's critical path -- a multi-round finalizer
-     * (murmur3) measurably slows whole-application runs. The odd
-     * multiplier is bijective, so power-of-two-strided block addresses
-     * (column walks) still spread over the whole table.
-     */
-    std::uint64_t
-    hashOf(Addr blk_addr) const
-    {
-        return (blk_addr * 0x9e3779b97f4a7c15ULL) >> _tableShift;
-    }
-
-    /** Double the infinite-mode table and rehash every occupied slot. */
-    void grow();
-
     bool _infinite;
     unsigned _assoc;
     unsigned _blockShift;
@@ -175,18 +158,10 @@ class CacheArray
     std::vector<CacheBlk> _frames;
 
     /**
-     * Infinite storage: open-addressed table, capacity a power of two,
-     * with kAddrInvalid marking an empty slot. The key lane is probed
-     * separately from the metadata (the same structure-of-arrays split
-     * as the finite tag lane): a probe touches only the dense 8-byte
-     * keys, not the 24-byte frames. _tableTags[i] == _table[i].addr for
-     * every occupied slot, including invalidated ones (keys are never
-     * removed so probe chains stay intact).
+     * Infinite storage, keyed by block address; _table[a].addr == a for
+     * every key, including invalidated blocks (keys are never removed).
      */
-    std::vector<Addr> _tableTags;
-    std::vector<CacheBlk> _table;
-    std::size_t _tableUsed = 0;
-    unsigned _tableShift = 0; ///< 64 - log2(_table.size())
+    FlatMap<CacheBlk> _table;
 };
 
 // The probe paths are defined inline: they are leaves of the
@@ -198,15 +173,8 @@ inline CacheBlk *
 CacheArray::find(Addr blk_addr)
 {
     if (_infinite) {
-        const std::size_t mask = _table.size() - 1;
-        const Addr *keys = _tableTags.data();
-        std::size_t i = hashOf(blk_addr) & mask;
-        while (keys[i] != kAddrInvalid) {
-            if (keys[i] == blk_addr)
-                return _table[i].valid() ? &_table[i] : nullptr;
-            i = (i + 1) & mask;
-        }
-        return nullptr;
+        CacheBlk *blk = _table.find(blk_addr);
+        return blk && blk->valid() ? blk : nullptr;
     }
     const std::size_t base = setIndex(blk_addr) * _assoc;
     const Addr *tags = _tags.data() + base;
@@ -221,22 +189,10 @@ inline CacheBlk *
 CacheArray::findVictim(Addr blk_addr)
 {
     if (_infinite) {
-        // Grow before probing so the pointer we hand out survives the
-        // insertion (keep the load factor at or below ~0.7).
-        if ((_tableUsed + 1) * 10 > _table.size() * 7)
-            grow();
-        const std::size_t mask = _table.size() - 1;
-        const Addr *keys = _tableTags.data();
-        std::size_t i = hashOf(blk_addr) & mask;
-        while (keys[i] != kAddrInvalid) {
-            if (keys[i] == blk_addr)
-                return &_table[i];
-            i = (i + 1) & mask;
-        }
-        _tableTags[i] = blk_addr;
-        _table[i].addr = blk_addr;
-        ++_tableUsed;
-        return &_table[i];
+        auto [blk, inserted] = _table.insert(blk_addr);
+        if (inserted)
+            blk->addr = blk_addr;
+        return blk;
     }
     // The victim scan reads the frames anyway (LRU timestamps), so the
     // tag lane would only add a second stream here; scan frames alone.

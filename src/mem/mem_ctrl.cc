@@ -21,10 +21,6 @@ MemCtrl::MemCtrl(Machine &m, NodeId id)
 {
     _audit = m.auditor();
     _locks.setAudit(_audit, _id);
-    // The directory map sits on the hot path of every coherence message;
-    // pre-size it and keep the load factor low to limit rehash churn.
-    _dir.reserve(1024);
-    _dir.max_load_factor(0.7f);
 }
 
 void
@@ -67,8 +63,8 @@ MemCtrl::auditCheckEntry(const DirEntry &ent, const Message &m) const
 bool
 MemCtrl::isMigratory(Addr blk_addr) const
 {
-    auto it = _dir.find(blk_addr);
-    return it != _dir.end() && it->second.migratory;
+    const DirEntry *e = _dir.find(blk_addr);
+    return e && e->migratory;
 }
 
 void
@@ -91,14 +87,13 @@ MemCtrl::DirSnapshot
 MemCtrl::snapshot(Addr blk_addr) const
 {
     DirSnapshot s;
-    auto it = _dir.find(blk_addr);
-    if (it == _dir.end())
+    const DirEntry *e = _dir.find(blk_addr);
+    if (!e)
         return s;
-    const DirEntry &e = it->second;
-    s.st = static_cast<DirSnapshot::St>(e.st);
-    s.presence = e.presence;
-    s.owner = e.owner;
-    s.busy = e.busy;
+    s.st = static_cast<DirSnapshot::St>(e->st);
+    s.presence = e->presence;
+    s.owner = e->owner;
+    s.busy = e->busy;
     return s;
 }
 
@@ -192,7 +187,7 @@ MemCtrl::handleCoherent(const Message &m)
       case MsgType::UpgradeReq:
         if (ent.busy || ent.replayPending) {
             ++queuedAtBusyEntry;
-            ent.waiting.push_back(m);
+            ent.waiting.push(m);
             return;
         }
         startOp(ent, m);
@@ -413,8 +408,7 @@ MemCtrl::unblock(DirEntry &ent, Addr addr)
     (void)addr;
     if (ent.waiting.empty())
         return;
-    Message next = ent.waiting.front();
-    ent.waiting.pop_front();
+    Message next = ent.waiting.pop();
     // Queued requests replay against row-buffer-hot data: they pay the
     // directory access but not a fresh DRAM access.
     ent.replayPending = true;

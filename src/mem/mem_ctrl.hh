@@ -15,11 +15,11 @@
 #define PSIM_MEM_MEM_CTRL_HH
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
+#include <vector>
 
 #include "proto/lock_ctrl.hh"
 #include "proto/message.hh"
+#include "sim/flat_map.hh"
 #include "sim/resource.hh"
 #include "sim/stats.hh"
 
@@ -99,6 +99,49 @@ class MemCtrl
     }
 
   private:
+    /**
+     * Requests queued at a busy directory entry, replayed in arrival
+     * order. A ring over a vector: it allocates nothing until the first
+     * request queues (most entries never see one) and then reuses its
+     * buffer.
+     */
+    class WaitQueue
+    {
+      public:
+        bool empty() const { return _count == 0; }
+
+        void
+        push(const Message &m)
+        {
+            if (_count == _ring.size()) {
+                // Full (or never allocated): move into a buffer twice
+                // the size, oldest request first.
+                std::vector<Message> bigger(_ring.empty() ? 2
+                                                          : _ring.size() * 2);
+                for (std::size_t k = 0; k < _count; ++k)
+                    bigger[k] = _ring[(_head + k) % _ring.size()];
+                _ring = std::move(bigger);
+                _head = 0;
+            }
+            _ring[(_head + _count) % _ring.size()] = m;
+            ++_count;
+        }
+
+        Message
+        pop()
+        {
+            Message m = _ring[_head];
+            _head = (_head + 1) % _ring.size();
+            --_count;
+            return m;
+        }
+
+      private:
+        std::vector<Message> _ring;
+        std::size_t _head = 0;
+        std::size_t _count = 0;
+    };
+
     struct DirEntry
     {
         enum class St : std::uint8_t { Uncached, Clean, Dirty };
@@ -118,7 +161,7 @@ class MemCtrl
         std::uint8_t migWasted = 0;   ///< exclusive grants never written
         unsigned pendingAcks = 0;
         Message pending;              ///< the request being serviced
-        std::deque<Message> waiting;  ///< queued while busy
+        WaitQueue waiting;            ///< queued while busy
     };
 
     /** Claim the memory bank, then run the directory operation. */
@@ -164,7 +207,14 @@ class MemCtrl
     Resource _bank;
     LockCtrl _locks;
     BarrierCtrl _barrier;
-    std::unordered_map<Addr, DirEntry> _dir;
+    /**
+     * Full-map directory, one entry per block this node is home to that
+     * was ever requested. Probed by every coherence message, so it is a
+     * flat open-addressed table; entries are never erased, and a
+     * DirEntry reference is held only within one handler, across no
+     * other insertion.
+     */
+    FlatMap<DirEntry> _dir;
 };
 
 } // namespace psim

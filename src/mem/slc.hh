@@ -21,8 +21,6 @@
 
 #include <deque>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/characterizer.hh"
@@ -32,6 +30,7 @@
 #include "mem/write_buffer.hh"
 #include "proto/message.hh"
 #include "sim/audit.hh"
+#include "sim/flat_map.hh"
 #include "sim/resource.hh"
 #include "sim/stats.hh"
 
@@ -210,8 +209,13 @@ class Slc
     std::size_t _slwbCap;
     /** Slot-occupying MSHRs (every kind except Write-as-upgrade). */
     std::size_t _slwbOcc = 0;
-    std::unordered_map<Addr, Mshr> _mshrs;
-    std::unordered_set<Addr> _wbPending; ///< writebacks awaiting ack
+    /**
+     * Pending transactions by block (the SLWB), probed on every access
+     * and prefetch candidate. An Mshr pointer from findMshr() is valid
+     * only until the next insert or erase on this table.
+     */
+    FlatMap<Mshr> _mshrs;
+    FlatSet _wbPending; ///< writebacks awaiting ack
     std::deque<Addr> _recentPrefetches;  ///< issue-order ring for aging
 
     /** Tag-array port: serializes FLWB-side and fill accesses. */
@@ -219,7 +223,7 @@ class Slc
 
     /** Miss classification history: why a block last left the cache. */
     enum class Gone : std::uint8_t { Invalidated, Replaced };
-    std::unordered_map<Addr, Gone> _history;
+    FlatMap<Gone> _history;
 
     std::vector<Addr> _candidateBuf; ///< scratch, avoids allocation
 

@@ -104,6 +104,9 @@ MachineConfig::validate() const
     if (numProcs == 0 || meshCols == 0 || numProcs % meshCols != 0)
         psim_fatal("mesh %u nodes / %u columns does not tile", numProcs,
                    meshCols);
+    if (numProcs > 64)
+        psim_fatal("numProcs %u exceeds 64: the full-map directory keeps "
+                   "one presence bit per node in a 64-bit mask", numProcs);
     if (flwbEntries == 0 || slwbEntries == 0)
         psim_fatal("write buffers need at least one entry");
     if (prefetch.degree == 0)

@@ -18,8 +18,6 @@ Machine::Machine(MachineConfig cfg)
       _mesh(_eq, _cfg)
 {
     _cfg.validate();
-    psim_assert(_cfg.numProcs <= 64,
-            "directory presence mask supports at most 64 nodes");
     if (_cfg.shards > 0) {
         _nshards = std::min(_cfg.shards, _cfg.numProcs);
         // Contiguous node blocks per shard; every queue orders events

@@ -104,6 +104,18 @@ TEST(ConfigDeath, RejectsUntileableMesh)
             "does not tile");
 }
 
+TEST(ConfigDeath, RejectsMoreNodesThanThePresenceMaskHolds)
+{
+    MachineConfig cfg;
+    cfg.numProcs = 128;
+    cfg.meshCols = 16;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+            "numProcs 128 exceeds 64");
+    cfg.numProcs = 64;
+    cfg.meshCols = 8;
+    EXPECT_NO_FATAL_FAILURE(cfg.validate());
+}
+
 TEST(ConfigDeath, RejectsZeroDegree)
 {
     MachineConfig cfg;

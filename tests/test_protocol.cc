@@ -311,3 +311,53 @@ TEST(Protocol, ColdCoherenceReplacementClassification)
     EXPECT_DOUBLE_EQ(sys.m.node(0).slc().missesCoherence.value(), 1.0);
     EXPECT_DOUBLE_EQ(sys.m.node(0).slc().missesReplacement.value(), 0.0);
 }
+
+TEST(Protocol, BusyEntryGrantsQueuedRequestsInArrivalOrder)
+{
+    // Node 0 owns a dirty block; nodes 1..7 then write it at the start
+    // ticks below. The first write makes the home entry busy fetching
+    // from node 0, and each later write arrives while the entry is
+    // still busy with an earlier ownership transfer (one takes ~65
+    // cycles), so it queues. The schedule makes the request queue wrap
+    // and grow while wrapped: nodes 2 and 3 fill its first two slots,
+    // the first replay pops node 2, node 4 wraps into the freed slot,
+    // node 5 grows the queue, and node 7 wraps again after the second
+    // replay. Each grant needs the previous grantee's copy, and a
+    // requester's follow-up read of the block completes only once its
+    // own write was granted.
+    const Tick start[] = {0, 2000, 2005, 2010, 2050, 2055, 2060, 2065};
+    MachineConfig cfg;
+    cfg.numProcs = 8;
+    cfg.meshCols = 4; // 4x2 mesh
+    MiniSystem sys(cfg);
+    Addr x = pageBase(cfg, 1); // homed at node 1
+    std::vector<Tick> granted(cfg.numProcs, 0);
+
+    auto owner = [](apps::ThreadCtx &ctx, Addr a) -> Task {
+        co_await ctx.write<double>(a, 0.0);
+    };
+    auto writer = [](apps::ThreadCtx &ctx, Machine &m, Addr a, Tick at,
+                     Tick &done) -> Task {
+        co_await ctx.think(at);
+        co_await ctx.write<double>(a, static_cast<double>(ctx.tid()));
+        co_await ctx.read<double>(a); // merges with the pending write
+        done = m.eqOf(ctx.tid()).now();
+    };
+    sys.run(0, owner(sys.ctx(0), x));
+    for (NodeId n = 1; n < cfg.numProcs; ++n)
+        sys.run(n, writer(sys.ctx(n), sys.m, x, start[n], granted[n]));
+    ASSERT_TRUE(sys.finish());
+
+    for (NodeId n = 2; n < cfg.numProcs; ++n) {
+        EXPECT_LT(granted[n - 1], granted[n])
+                << "node " << n << " was granted before node " << n - 1;
+    }
+    const MemCtrl &home = sys.m.node(1).mem();
+    EXPECT_DOUBLE_EQ(home.queuedAtBusyEntry.value(), cfg.numProcs - 2.0)
+            << "every write after the first must queue";
+    EXPECT_DOUBLE_EQ(home.readExReqs.value(), cfg.numProcs - 0.0);
+    EXPECT_EQ(sys.m.node(cfg.numProcs - 1).slc().stateOf(cfg.blockAddr(x)),
+              CohState::Modified);
+    EXPECT_DOUBLE_EQ(sys.m.store().load<double>(x), cfg.numProcs - 1.0);
+    sys.m.checkCoherenceInvariants();
+}

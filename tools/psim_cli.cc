@@ -51,6 +51,7 @@
 
 #include "check/fuzz.hh"
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 #include "sim/sampler.hh"
 #include "trace/chrome_trace.hh"
 
@@ -231,7 +232,9 @@ main(int argc, char **argv)
         } else if (arg == "--block") {
             cfg.blockSize = static_cast<unsigned>(atoi(value()));
         } else if (arg == "--scale") {
-            opts.scale = static_cast<unsigned>(atoi(value()));
+            opts.scale = parseUnsignedFlag("--scale", value());
+            if (opts.scale == 0)
+                psim_fatal("--scale must be >= 1");
         } else if (arg == "--seed") {
             cfg.seed = static_cast<std::uint64_t>(atoll(value()));
         } else if (arg == "--shards") {
