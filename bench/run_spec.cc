@@ -2,9 +2,7 @@
  * @file
  * Generic spec runner: `run_spec --spec NAME|PATH [flags]` executes
  * any psim-spec-v1 experiment spec, prints its report, and writes the
- * canonical psim-results-v1 document. The per-table binaries
- * (fig6_schemes, table2_characteristics, ...) are thin shims over the
- * same entry point with their spec name baked in.
+ * canonical psim-results-v1 document.
  */
 
 #include "spec_main.hh"
@@ -12,5 +10,5 @@
 int
 main(int argc, char **argv)
 {
-    return psim::bench::runSpecMain(nullptr, argc, argv);
+    return psim::bench::runSpecMain(argc, argv);
 }

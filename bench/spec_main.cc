@@ -47,11 +47,9 @@ writeDocument(const std::string &path, const std::string &doc)
 } // namespace
 
 int
-runSpecMain(const char *default_spec, int argc, char **argv)
+runSpecMain(int argc, char **argv)
 {
     BenchOptions opt = parseBenchArgs(argc, argv);
-    if (opt.spec.empty() && default_spec)
-        opt.spec = default_spec;
     if (opt.spec.empty())
         psim_fatal("--spec NAME|PATH is required (known reports: %s)",
                    knownReports().c_str());

@@ -1,6 +1,6 @@
 /**
  * @file
- * Entry point shared by bench/run_spec and the legacy shim binaries.
+ * Entry point of bench/run_spec.
  *
  * runSpecMain() parses the common bench flags, loads a psim-spec-v1
  * experiment spec (by name from the spec directory, or by path), runs
@@ -19,12 +19,8 @@
 namespace psim::bench
 {
 
-/**
- * Run the spec named by --spec (falling back to @p default_spec, which
- * may be nullptr for the generic run_spec binary). Returns the process
- * exit code.
- */
-int runSpecMain(const char *default_spec, int argc, char **argv);
+/** Run the spec named by --spec. Returns the process exit code. */
+int runSpecMain(int argc, char **argv);
 
 } // namespace psim::bench
 

@@ -5,11 +5,12 @@
  * The machine can stream every *committed* shared-memory access --
  * every functional store the moment it lands in the backing store and
  * every load value the moment the processor consumes it -- into a
- * CommitSink. On the serial engine the order of onAccess() calls is
- * exactly the order in which the backing store was touched; on the
- * sharded engine the machine stages records per node and merges them at
- * every window boundary in the canonical (tick, node, per-node index)
- * order, which is the same total order a --shards 1 run executes. A
+ * CommitSink through the machine's staging lanes (sim/lanes.hh). On
+ * the serial engine the order of onAccess() calls is exactly the order
+ * in which the backing store was touched; on the sharded engine the
+ * lanes merge at every window boundary in the canonical (tick, node,
+ * per-node index) order, which is the same total order a --shards 1 run
+ * executes. A
  * sequentially-consistent reference model (check::Oracle) can replay
  * either stream and re-derive every load value independently.
  *

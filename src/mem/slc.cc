@@ -186,16 +186,7 @@ Slc::processRead(Addr addr, Pc pc)
     bool hit = blk != nullptr;
     bool tagged = false;
 
-    if (_traceSink) {
-        TraceRecord rec;
-        rec.tick = now;
-        rec.pc = pc;
-        rec.addr = addr;
-        rec.node = _id;
-        rec.kind = TraceRecord::Kind::Read;
-        rec.hit = hit;
-        _traceSink(rec);
-    }
+    noteRequest(TraceRecord::Kind::Read, addr, pc, hit, now);
 
     if (hit) {
         if (blk->prefetched) {
@@ -205,14 +196,8 @@ Slc::processRead(Addr addr, Pc pc)
             tagged = true;
             ++pfUsefulTagged;
             reportOutcome(blk, true);
-            if (_audit) {
-                _audit->onFate(blk_addr, audit::Fate::UsefulTagged,
-                        audit::Event::TaggedReadHit, now);
-            }
-            if (_chrome) {
-                _chrome->prefetchFate(_id, blk_addr,
-                        audit::Fate::UsefulTagged, now);
-            }
+            noteFate(blk_addr, audit::Fate::UsefulTagged,
+                    audit::Event::TaggedReadHit, now);
         }
         _array.touch(blk, now);
         _eq.scheduleIn(cfg.slcToCpuLat,
@@ -229,14 +214,8 @@ Slc::processRead(Addr addr, Pc pc)
                 _prefetcher->notePrefetchOutcome(true, true, blk_addr);
                 e->demandWaiting = true;
                 e->demandAddr = addr;
-                if (_audit) {
-                    _audit->onFate(blk_addr, audit::Fate::UsefulLate,
-                            audit::Event::DemandMerge, now);
-                }
-                if (_chrome) {
-                    _chrome->prefetchFate(_id, blk_addr,
-                            audit::Fate::UsefulLate, now);
-                }
+                noteFate(blk_addr, audit::Fate::UsefulLate,
+                        audit::Event::DemandMerge, now);
                 break;
               case Mshr::Kind::Write:
                 e->demandWaiting = true;
@@ -247,8 +226,10 @@ Slc::processRead(Addr addr, Pc pc)
             }
         } else {
             ++demandReadMisses;
-            if (_chrome)
-                _chrome->demandMissStart(_id, blk_addr, now);
+            if (auto &chrome = _m.chromeLanes()) {
+                chrome.emit({now, _id, blk_addr,
+                             ChromeTracer::Op::Kind::MissStart});
+            }
             if (_characterizer)
                 _characterizer->observeMiss(pc, addr);
             classifyMiss(blk_addr);
@@ -300,29 +281,14 @@ Slc::processWrite(Addr addr, Pc pc)
     ++writeRequests;
 
     CacheBlk *blk = _array.find(blk_addr);
-    if (_traceSink) {
-        TraceRecord rec;
-        rec.tick = now;
-        rec.pc = pc;
-        rec.addr = addr;
-        rec.node = _id;
-        rec.kind = TraceRecord::Kind::Write;
-        rec.hit = blk != nullptr;
-        _traceSink(rec);
-    }
+    noteRequest(TraceRecord::Kind::Write, addr, pc, blk != nullptr, now);
     if (blk) {
         if (blk->prefetched) {
             blk->prefetched = false;
             ++pfWriteHitTagged;
             reportOutcome(blk, true);
-            if (_audit) {
-                _audit->onFate(blk_addr, audit::Fate::WriteHit,
-                        audit::Event::TaggedWriteHit, now);
-            }
-            if (_chrome) {
-                _chrome->prefetchFate(_id, blk_addr,
-                        audit::Fate::WriteHit, now);
-            }
+            noteFate(blk_addr, audit::Fate::WriteHit,
+                    audit::Event::TaggedWriteHit, now);
         }
         _array.touch(blk, now);
         if (blk->state == CohState::Modified) {
@@ -422,18 +388,8 @@ Slc::maybePrefetch(Addr trigger_addr, Pc pc,
         _mshrs[blk] = e;
         ++_slwbOcc;
         ++pfIssued;
-        if (_m.commitSink()) {
-            check::PrefetchIssueRecord rec;
-            rec.tick = _eq.now();
-            rec.node = _id;
-            rec.trigger = trigger_addr;
-            rec.block = blk;
-            _m.commitPrefetchIssue(rec);
-        }
-        if (_chrome)
-            _chrome->prefetchIssue(_id, blk, _eq.now());
+        noteIssue(blk, pc, trigger_addr, _eq.now());
         if (_audit) {
-            _audit->onIssue(blk, pc, _eq.now());
             _audit->checkSlwb(slwbOccupancy(), _slwbCap, true,
                     "prefetch allocation");
         }
@@ -445,6 +401,47 @@ Slc::maybePrefetch(Addr trigger_addr, Pc pc,
         sendToHome(MsgType::ReadReq, blk, pc, true);
     }
     agePrefetches();
+}
+
+void
+Slc::noteRequest(TraceRecord::Kind kind, Addr addr, Pc pc, bool hit,
+                 Tick now)
+{
+    if (auto &trace = _m.traceLanes())
+        trace.emit({now, pc, addr, _id, kind, hit});
+}
+
+void
+Slc::noteIssue(Addr blk, Pc pc, Addr trigger, Tick now)
+{
+    if (_audit)
+        _audit->onIssue(blk, pc, now);
+    if (auto &chrome = _m.chromeLanes())
+        chrome.emit({now, _id, blk, ChromeTracer::Op::Kind::PfIssue});
+    if (_m.commitSink())
+        _m.commitPrefetchIssue({now, _id, trigger, blk});
+}
+
+void
+Slc::noteFill(Addr blk, Mshr::Kind kind, Tick now)
+{
+    if (_audit)
+        _audit->onEvent(blk, audit::Event::Fill, now);
+    auto &chrome = _m.chromeLanes();
+    if (!chrome || kind == Mshr::Kind::Write)
+        return;
+    chrome.emit({now, _id, blk,
+                 kind == Mshr::Kind::Read ? ChromeTracer::Op::Kind::MissEnd
+                                          : ChromeTracer::Op::Kind::PfFill});
+}
+
+void
+Slc::noteFate(Addr blk, audit::Fate fate, audit::Event ev, Tick now)
+{
+    if (_audit)
+        _audit->onFate(blk, fate, ev, now);
+    if (auto &chrome = _m.chromeLanes())
+        chrome.emit({now, _id, blk, ChromeTracer::Op::Kind::PfFate, fate});
 }
 
 void
@@ -473,14 +470,8 @@ Slc::agePrefetches()
             blk->prefetched = false;
             ++pfAgedUnused;
             reportOutcome(blk, false);
-            if (_audit) {
-                _audit->onFate(a, audit::Fate::AgedUnused,
-                        audit::Event::AgedOut, _eq.now());
-            }
-            if (_chrome) {
-                _chrome->prefetchFate(_id, a, audit::Fate::AgedUnused,
-                        _eq.now());
-            }
+            noteFate(a, audit::Fate::AgedUnused, audit::Event::AgedOut,
+                    _eq.now());
         }
     }
 }
@@ -508,19 +499,12 @@ Slc::invalidateBlock(CacheBlk *blk, bool replacement)
         else
             ++pfUselessInvalidated;
         reportOutcome(blk, false);
-        if (_audit) {
-            _audit->onFate(blk->addr,
-                    replacement ? audit::Fate::Replaced
-                                : audit::Fate::Invalidated,
-                    replacement ? audit::Event::Replaced
-                                : audit::Event::Invalidated,
-                    _eq.now());
-        }
-        if (_chrome) {
-            _chrome->prefetchFate(_id, blk->addr,
-                    replacement ? audit::Fate::Replaced
-                                : audit::Fate::Invalidated,
-                    _eq.now());
+        if (replacement) {
+            noteFate(blk->addr, audit::Fate::Replaced,
+                    audit::Event::Replaced, _eq.now());
+        } else {
+            noteFate(blk->addr, audit::Fate::Invalidated,
+                    audit::Event::Invalidated, _eq.now());
         }
     }
     _history[blk->addr] = replacement ? Gone::Replaced : Gone::Invalidated;
@@ -576,14 +560,7 @@ Slc::handleFill(const Message &m, bool exclusive)
     _array.fill(frame, blk_addr, exclusive ? CohState::Modified
                                            : CohState::Shared, now);
     _history.erase(blk_addr);
-    if (_audit)
-        _audit->onEvent(blk_addr, audit::Event::Fill, now);
-    if (_chrome) {
-        if (e->kind == Mshr::Kind::Read)
-            _chrome->demandMissEnd(_id, blk_addr, now);
-        else if (e->kind == Mshr::Kind::Prefetch)
-            _chrome->prefetchFill(_id, blk_addr, now);
-    }
+    noteFill(blk_addr, e->kind, now);
 
     bool is_pure_prefetch =
             e->kind == Mshr::Kind::Prefetch && !e->demandWaiting;
@@ -633,14 +610,8 @@ Slc::handleFill(const Message &m, bool exclusive)
                 // leaving the block tagged but its fate unrecorded.
                 ++pfWriteHitTagged;
                 reportOutcome(frame, true);
-                if (_audit) {
-                    _audit->onFate(blk_addr, audit::Fate::WriteHit,
-                            audit::Event::DeferredStoreHit, now);
-                }
-                if (_chrome) {
-                    _chrome->prefetchFate(_id, blk_addr,
-                            audit::Fate::WriteHit, now);
-                }
+                noteFate(blk_addr, audit::Fate::WriteHit,
+                        audit::Event::DeferredStoreHit, now);
                 frame->prefetched = false;
             }
             frame->state = CohState::Modified;
@@ -656,14 +627,8 @@ Slc::handleFill(const Message &m, bool exclusive)
             // it like a store hit on a tagged block.
             ++pfWriteHitTagged;
             reportOutcome(frame, true);
-            if (_audit) {
-                _audit->onFate(blk_addr, audit::Fate::WriteHit,
-                        audit::Event::DeferredStoreHit, now);
-            }
-            if (_chrome) {
-                _chrome->prefetchFate(_id, blk_addr,
-                        audit::Fate::WriteHit, now);
-            }
+            noteFate(blk_addr, audit::Fate::WriteHit,
+                    audit::Event::DeferredStoreHit, now);
         }
         frame->prefetched = false;
         ++upgrades;
@@ -820,14 +785,8 @@ Slc::finalizeStats()
     _array.forEach([this, now](const CacheBlk &blk) {
         if (blk.prefetched) {
             ++pfUselessUnused;
-            if (_audit) {
-                _audit->onFate(blk.addr, audit::Fate::ResidentAtEnd,
-                        audit::Event::EndOfRun, now);
-            }
-            if (_chrome) {
-                _chrome->prefetchFate(_id, blk.addr,
-                        audit::Fate::ResidentAtEnd, now);
-            }
+            noteFate(blk.addr, audit::Fate::ResidentAtEnd,
+                    audit::Event::EndOfRun, now);
         }
     });
     if (_audit)

@@ -40,7 +40,6 @@ namespace psim
 class Machine;
 class Cpu;
 class Flc;
-class ChromeTracer;
 
 class Slc
 {
@@ -62,16 +61,6 @@ class Slc
     {
         _characterizer = c;
     }
-
-    /** Optional sink receiving every request presented to this SLC. */
-    void
-    setTraceSink(std::function<void(const TraceRecord &)> sink)
-    {
-        _traceSink = std::move(sink);
-    }
-
-    /** Attach the chrome://tracing exporter (read-only observation). */
-    void setChromeTracer(ChromeTracer *t) { _chrome = t; }
 
     /** Register this cache's statistics into @p g. */
     void registerStats(stats::Group &g);
@@ -182,14 +171,25 @@ class Slc
     void makeRoom(Addr blk_addr);
     void invalidateBlock(CacheBlk *blk, bool replacement);
 
+    // Observer reports: each transition reaches the audit and the
+    // machine's staging lanes once, from one place.
+
+    /** A read or write presented to this SLC (binary trace). */
+    void noteRequest(TraceRecord::Kind kind, Addr addr, Pc pc, bool hit,
+                     Tick now);
+    /** A prefetch issued for @p blk, triggered by byte @p trigger. */
+    void noteIssue(Addr blk, Pc pc, Addr trigger, Tick now);
+    /** A fill arriving for a transaction of @p kind. */
+    void noteFill(Addr blk, Mshr::Kind kind, Tick now);
+    /** The one terminal fate of the prefetch of @p blk. */
+    void noteFate(Addr blk, audit::Fate fate, audit::Event ev, Tick now);
+
     Machine &_m;
     /** This node's event queue (per-shard in sharded mode). */
     EventQueue &_eq;
     NodeId _id;
     Flc &_flc;
     Cpu &_cpu;
-    std::function<void(const TraceRecord &)> _traceSink;
-    ChromeTracer *_chrome = nullptr; ///< null when chrome tracing is off
     CacheArray _array;
     std::unique_ptr<Prefetcher> _prefetcher;
     StrideCharacterizer *_characterizer = nullptr;

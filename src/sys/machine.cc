@@ -33,7 +33,8 @@ Machine::Machine(MachineConfig cfg)
             _shardEqs.push_back(std::make_unique<EventQueue>());
             _shardEqs.back()->setShardOrder(_cfg.numProcs);
         }
-        _outboxes.resize(_cfg.numProcs);
+        _outbox = Lanes<OutMsg>([this](const OutMsg &om) { route(om); },
+                                _cfg.numProcs);
         // Cross-shard lookahead: the cheapest possible remote message
         // pays one node fall-through plus a header-only worm, so a
         // message sent inside a window this wide can only arrive at or
@@ -88,8 +89,7 @@ Machine::send(const Message &m)
             // remote message waits in the outbox for the next window
             // boundary, where the exchange walks it through the mesh
             // single-threaded.
-            _outboxes[m.src].msgs.push_back(
-                    OutMsg{eqOf(m.src).now(), m, flits, data});
+            _outbox.emit(OutMsg{eqOf(m.src).now(), m.src, m, flits, data});
             return;
         }
         _mesh.send(m.src, m.dst, flits, [this, m, data] {
@@ -126,29 +126,12 @@ Machine::enableCharacterizers(unsigned min_run)
 }
 
 void
-Machine::requireSerialEngine(const char *what) const
-{
-    // The one consistent gate for serial-only observers: fail loudly
-    // (never warn-and-disable) with one message shape, so a sharded
-    // run can never silently lose an observer the caller asked for.
-    psim_assert(_nshards == 0,
-            "%s is not shard-aware: it needs the serial engine "
-            "(--shards 0), got shards=%u", what, _nshards);
-}
-
-void
 Machine::enableTracing(TraceWriter &writer)
 {
     psim_assert(!_ran, "tracing must attach before run()");
-    // The binary SLC trace interleaves per-request records into one
-    // append-only writer whose record order is the contract checked by
-    // trace_tool; there is no per-node staging representation to merge,
-    // so it stays serial-only.
-    requireSerialEngine("the binary SLC reference trace");
-    for (auto &node : _nodes) {
-        node->slc().setTraceSink(
-                [&writer](const TraceRecord &rec) { writer.append(rec); });
-    }
+    _traceLanes = Lanes<TraceRecord>(
+            [&writer](const TraceRecord &rec) { writer.append(rec); },
+            stagedNodes());
 }
 
 void
@@ -195,8 +178,14 @@ Machine::enableCommitRecording(check::CommitSink &sink)
     psim_assert(!_ran, "commit recording must attach before run()");
     psim_assert(!_commitSink, "commit recording already enabled");
     _commitSink = &sink;
-    if (_nshards > 0)
-        _commitLanes = std::vector<CommitLane>(_cfg.numProcs);
+    _accesses = Lanes<check::AccessRecord>(
+            [&sink](const check::AccessRecord &rec) { sink.onAccess(rec); },
+            stagedNodes());
+    _prefetchIssues = Lanes<check::PrefetchIssueRecord>(
+            [&sink](const check::PrefetchIssueRecord &rec) {
+                sink.onPrefetchIssue(rec);
+            },
+            stagedNodes());
 }
 
 void
@@ -205,11 +194,11 @@ Machine::enableChromeTrace(Tick start, Tick end)
     psim_assert(!_ran, "chrome tracing must attach before run()");
     psim_assert(!_chrome, "chrome tracing already enabled");
     _chrome = std::make_unique<ChromeTracer>(start, end);
-    if (_nshards > 0)
-        _chrome->enableStaging(_cfg.numProcs);
-    for (auto &node : _nodes)
-        node->slc().setChromeTracer(_chrome.get());
-    _mesh.setChromeTracer(_chrome.get());
+    ChromeTracer *tracer = _chrome.get();
+    _chromeLanes = Lanes<ChromeTracer::Op>(
+            [tracer](const ChromeTracer::Op &op) { tracer->record(op); },
+            stagedNodes());
+    _mesh.setChromeTracer(tracer);
 }
 
 Tick
@@ -290,11 +279,7 @@ Machine::runSharded(Tick limit)
             wend = std::min(wend, limit + 1);
         _windowEnd = wend;
         gang.runRound();
-        // Observer lanes first (their ops happened inside the window),
-        // then the exchange (whose mesh transits chronologically follow
-        // into the chrome buffer, already in canonical order).
-        drainObservers(wend);
-        exchangeShardMessages(wend);
+        drainLanes(wend);
     }
 
     // Mirror the event-driven sampler's trailing row: it stops
@@ -313,96 +298,33 @@ Machine::runSharded(Tick limit)
 }
 
 void
-Machine::drainObservers(Tick window_end)
+Machine::drainLanes(Tick window_end)
 {
-    if (_chrome)
-        _chrome->drainStaged(window_end);
-    if (_commitSink)
-        drainCommitLanes(window_end);
+    // Observer lanes first (their ops happened inside the window), then
+    // the exchange, whose mesh transits chronologically follow into the
+    // chrome buffer.
+    _chromeLanes.drain(window_end);
+    _accesses.drain(window_end);
+    _prefetchIssues.drain(window_end);
+    _traceLanes.drain(window_end);
+    _outbox.drain(window_end);
 }
 
 void
-Machine::drainCommitLanes(Tick window_end)
+Machine::route(const OutMsg &om)
 {
-    // Same canonical (tick, node, per-node append index) order as the
-    // message exchange and the chrome drain: identical to the order a
-    // --shards 1 run calls the sink in, because same-tick events fire
-    // node-major and appends within one node are tick-monotone.
-    auto byTick = [](const XferRef &a, const XferRef &b) {
-        if (a.tick != b.tick)
-            return a.tick < b.tick;
-        if (a.src != b.src)
-            return a.src < b.src;
-        return a.idx < b.idx;
-    };
-
-    _xfer.clear();
-    for (NodeId n = 0; n < _cfg.numProcs; ++n) {
-        const auto &lane = _commitLanes[n].accesses;
-        for (std::uint32_t i = 0; i < lane.size(); ++i) {
-            psim_assert(lane[i].tick < window_end,
-                    "staged commit record beyond its window");
-            _xfer.push_back(XferRef{lane[i].tick, n, i});
-        }
-    }
-    std::sort(_xfer.begin(), _xfer.end(), byTick);
-    for (const XferRef &r : _xfer)
-        _commitSink->onAccess(_commitLanes[r.src].accesses[r.idx]);
-
-    _xfer.clear();
-    for (NodeId n = 0; n < _cfg.numProcs; ++n) {
-        const auto &lane = _commitLanes[n].prefetches;
-        for (std::uint32_t i = 0; i < lane.size(); ++i)
-            _xfer.push_back(XferRef{lane[i].tick, n, i});
-    }
-    std::sort(_xfer.begin(), _xfer.end(), byTick);
-    for (const XferRef &r : _xfer)
-        _commitSink->onPrefetchIssue(_commitLanes[r.src].prefetches[r.idx]);
-
-    for (CommitLane &lane : _commitLanes) {
-        lane.accesses.clear();
-        lane.prefetches.clear();
-    }
-}
-
-void
-Machine::exchangeShardMessages(Tick window_end)
-{
-    // Canonical replay order: (send tick, source node, append index).
-    // Appends within one node happen in that node's deterministic event
-    // order, so this order -- and therefore every mesh link claim and
-    // mesh statistic -- is identical at every shard count.
-    _xfer.clear();
-    for (NodeId n = 0; n < _cfg.numProcs; ++n) {
-        const auto &box = _outboxes[n].msgs;
-        for (std::uint32_t i = 0; i < box.size(); ++i)
-            _xfer.push_back(XferRef{box[i].sendTick, n, i});
-    }
-    std::sort(_xfer.begin(), _xfer.end(),
-            [](const XferRef &a, const XferRef &b) {
-                if (a.tick != b.tick)
-                    return a.tick < b.tick;
-                if (a.src != b.src)
-                    return a.src < b.src;
-                return a.idx < b.idx;
-            });
-    for (const XferRef &r : _xfer) {
-        const OutMsg &om = _outboxes[r.src].msgs[r.idx];
-        Tick arrival = _mesh.traverse(r.src, om.msg.dst, om.flits,
-                om.sendTick);
-        psim_assert(arrival >= window_end,
-                "cross-shard lookahead violated: arrival %llu < window "
-                "end %llu", (unsigned long long)arrival,
-                (unsigned long long)window_end);
-        Message m = om.msg;
-        bool data = om.data;
-        eqOf(m.dst).scheduleRemote(arrival, m.dst, [this, m, data] {
-            _nodes[m.dst]->bus().transfer(data,
-                    [this, m] { deliver(m); });
-        });
-    }
-    for (auto &box : _outboxes)
-        box.msgs.clear();
+    // Drained in canonical order, so every mesh link claim and mesh
+    // statistic is identical at every shard count.
+    Tick arrival = _mesh.traverse(om.node, om.msg.dst, om.flits, om.tick);
+    psim_assert(arrival >= _windowEnd,
+            "cross-shard lookahead violated: arrival %llu < window "
+            "end %llu", (unsigned long long)arrival,
+            (unsigned long long)_windowEnd);
+    Message m = om.msg;
+    bool data = om.data;
+    eqOf(m.dst).scheduleRemote(arrival, m.dst, [this, m, data] {
+        _nodes[m.dst]->bus().transfer(data, [this, m] { deliver(m); });
+    });
 }
 
 bool

@@ -5,6 +5,12 @@
  * Owns the global event queue, the functional backing store, the mesh,
  * and the nodes; routes protocol messages across node buses and the
  * network; and aggregates the metrics the paper's evaluation reports.
+ *
+ * Under the sharded engine every record a node produces for an
+ * observer (chrome-trace ops, committed accesses, prefetch issues,
+ * binary-trace records) and every cross-node message goes through one
+ * per-node staging lane set (sim/lanes.hh), drained at each window
+ * boundary in the canonical (tick, node, append index) order.
  */
 
 #ifndef PSIM_SYS_MACHINE_HH
@@ -23,15 +29,15 @@
 #include "sim/audit.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/lanes.hh"
 #include "sim/stats.hh"
+#include "trace/chrome_trace.hh"
 #include "trace/trace.hh"
 #include "sys/node.hh"
 #include "sys/task.hh"
 
 namespace psim
 {
-
-class ChromeTracer;
 
 namespace stats
 {
@@ -133,6 +139,9 @@ class Machine
      */
     void enableTracing(TraceWriter &writer);
 
+    /** Binary-trace record lanes; detached when tracing is off. */
+    Lanes<TraceRecord> &traceLanes() { return _traceLanes; }
+
     /**
      * Snapshot selected per-node scalars (read misses, prefetches
      * issued/useful, SLWB/FLWB occupancy) and mesh flits every
@@ -158,6 +167,9 @@ class Machine
     ChromeTracer *chromeTracer() { return _chrome.get(); }
     const ChromeTracer *chromeTracer() const { return _chrome.get(); }
 
+    /** Chrome-trace op lanes; detached when chrome tracing is off. */
+    Lanes<ChromeTracer::Op> &chromeLanes() { return _chromeLanes; }
+
     /**
      * Stream every committed shared-memory access (and every issued
      * prefetch) of the coming run into @p sink, for differential
@@ -172,30 +184,15 @@ class Machine
 
     /**
      * Producer entry points for commit recording (ctx.hh value-commit
-     * points and the Slc's prefetch-issue site). Serial engine: forward
-     * straight to the sink in execution order. Sharded engine: append
-     * to the producing node's staging lane; the machine merges lanes at
-     * every window boundary in canonical (tick, node, index) order.
-     * @pre commitSink() != nullptr
+     * points and the Slc's prefetch-issue site), through the staging
+     * lanes. @pre commitSink() != nullptr
      */
-    void
-    commitAccess(const check::AccessRecord &rec)
-    {
-        if (_nshards > 0) {
-            _commitLanes[rec.node].accesses.push_back(rec);
-            return;
-        }
-        _commitSink->onAccess(rec);
-    }
+    void commitAccess(const check::AccessRecord &rec) { _accesses.emit(rec); }
 
     void
     commitPrefetchIssue(const check::PrefetchIssueRecord &rec)
     {
-        if (_nshards > 0) {
-            _commitLanes[rec.node].prefetches.push_back(rec);
-            return;
-        }
-        _commitSink->onPrefetchIssue(rec);
+        _prefetchIssues.emit(rec);
     }
 
     /**
@@ -232,67 +229,30 @@ class Machine
   private:
     void deliver(const Message &m);
 
-    /**
-     * Loud, uniform gate for the observers that genuinely cannot run
-     * under the sharded engine (today: only the binary SLC trace).
-     */
-    void requireSerialEngine(const char *what) const;
-
     /** The windowed parallel engine (cfg.shards >= 1). */
     Tick runSharded(Tick limit);
 
-    /**
-     * Route every outboxed cross-node message at a window boundary:
-     * sort into the canonical (send tick, source, append index) order,
-     * walk each through the mesh, and schedule its delivery into the
-     * destination shard. Single-threaded; runs between windows.
-     */
-    void exchangeShardMessages(Tick window_end);
-
-    /**
-     * Merge every observer's per-node staging lanes at a window
-     * boundary (chrome ops, then -- via the exchange that follows --
-     * mesh transits; commit records independently). Single-threaded.
-     */
-    void drainObservers(Tick window_end);
-
-    /** Forward staged commit records to the sink in canonical order. */
-    void drainCommitLanes(Tick window_end);
+    /** Drain every lane set at a window boundary, single-threaded. */
+    void drainLanes(Tick window_end);
 
     /** A cross-node message awaiting the next window boundary. */
     struct OutMsg
     {
-        Tick sendTick; ///< mesh-injection tick (src bus completion)
+        Tick tick;   ///< mesh-injection tick (src bus completion)
+        NodeId node; ///< source node
         Message msg;
         unsigned flits;
         bool data;
     };
 
-    /** Per-source-node outbox, padded so shards never share a line. */
-    struct alignas(64) Outbox
-    {
-        std::vector<OutMsg> msgs;
-    };
-
-    /** Sort key into the outboxes for one window's exchange. */
-    struct XferRef
-    {
-        Tick tick;
-        NodeId src;
-        std::uint32_t idx;
-    };
-
     /**
-     * Per-node commit-record staging lane (sharded engine), padded so
-     * producer shards never share a cache line. Appends are tick-
-     * monotone within a lane; the boundary merge restores the global
-     * order.
+     * Walk one exchanged message through the mesh and schedule its
+     * delivery into the destination shard.
      */
-    struct alignas(64) CommitLane
-    {
-        std::vector<check::AccessRecord> accesses;
-        std::vector<check::PrefetchIssueRecord> prefetches;
-    };
+    void route(const OutMsg &om);
+
+    /** Lanes per node to stage in: none on the serial engine. */
+    unsigned stagedNodes() const { return _nshards ? _cfg.numProcs : 0; }
 
     MachineConfig _cfg;
     EventQueue _eq;
@@ -304,8 +264,7 @@ class Machine
     // them, so everything here stays declared before _nodes.
     std::vector<std::unique_ptr<EventQueue>> _shardEqs;
     std::vector<unsigned> _shardOfNode;
-    std::vector<Outbox> _outboxes;
-    std::vector<XferRef> _xfer; ///< exchange scratch
+    Lanes<OutMsg> _outbox; ///< cross-node messages (sharded engine)
     unsigned _nshards = 0;
     Tick _windowLookahead = 0;
     Tick _windowEnd = 0; ///< written between rounds, read by workers
@@ -316,7 +275,10 @@ class Machine
     std::unique_ptr<stats::Sampler> _sampler;
     std::unique_ptr<ChromeTracer> _chrome;
     check::CommitSink *_commitSink = nullptr;
-    std::vector<CommitLane> _commitLanes; ///< sized when sharded
+    Lanes<ChromeTracer::Op> _chromeLanes;
+    Lanes<check::AccessRecord> _accesses;
+    Lanes<check::PrefetchIssueRecord> _prefetchIssues;
+    Lanes<TraceRecord> _traceLanes;
     bool _ran = false;
 };
 

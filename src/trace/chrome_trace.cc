@@ -1,10 +1,8 @@
 #include "trace/chrome_trace.hh"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
-#include "sim/logging.hh"
 #include "sim/stats.hh"
 
 namespace psim
@@ -42,122 +40,25 @@ ChromeTracer::push(TraceEvent e)
 }
 
 void
-ChromeTracer::enableStaging(unsigned num_nodes)
+ChromeTracer::record(const Op &op)
 {
-    psim_assert(_events.empty() && _openMisses.empty(),
-            "staging must enable before any event is recorded");
-    _lanes = std::vector<Lane>(num_nodes);
-}
-
-void
-ChromeTracer::stage(StagedOp::Kind kind, NodeId node, Addr blk, Tick t,
-                    audit::Fate fate)
-{
-    _lanes[node].ops.push_back(StagedOp{kind, fate, node, blk, t});
-}
-
-void
-ChromeTracer::drainStaged(Tick window_end)
-{
-    // Canonical order: (tick, node, per-node append index). Within one
-    // node, appends happen in that node's deterministic event order; at
-    // equal ticks the sharded tie-break fires events node-major -- so
-    // this merge reproduces exactly the call order a --shards 1 run
-    // (or the serial engine at the same boundaries) would have made.
-    struct Ref
-    {
-        Tick tick;
-        NodeId node;
-        std::uint32_t idx;
-    };
-    std::vector<Ref> refs;
-    for (NodeId n = 0; n < _lanes.size(); ++n) {
-        const auto &ops = _lanes[n].ops;
-        for (std::uint32_t i = 0; i < ops.size(); ++i) {
-            psim_assert(ops[i].t < window_end,
-                    "staged chrome op beyond its window");
-            refs.push_back(Ref{ops[i].t, n, i});
-        }
-    }
-    std::sort(refs.begin(), refs.end(), [](const Ref &a, const Ref &b) {
-        if (a.tick != b.tick)
-            return a.tick < b.tick;
-        if (a.node != b.node)
-            return a.node < b.node;
-        return a.idx < b.idx;
-    });
-    for (const Ref &r : refs) {
-        const StagedOp &op = _lanes[r.node].ops[r.idx];
-        switch (op.kind) {
-          case StagedOp::Kind::MissStart:
-            applyMissStart(op.node, op.blk, op.t);
-            break;
-          case StagedOp::Kind::MissEnd:
-            applyMissEnd(op.node, op.blk, op.t);
-            break;
-          case StagedOp::Kind::PfIssue:
-            applyPfIssue(op.node, op.blk, op.t);
-            break;
-          case StagedOp::Kind::PfFill:
-            applyPfFill(op.node, op.blk, op.t);
-            break;
-          case StagedOp::Kind::PfFate:
-            applyPfFate(op.node, op.blk, op.fate, op.t);
-            break;
-        }
-    }
-    for (Lane &lane : _lanes)
-        lane.ops.clear();
-}
-
-void
-ChromeTracer::demandMissStart(NodeId node, Addr blk, Tick t)
-{
-    if (staging()) {
-        stage(StagedOp::Kind::MissStart, node, blk, t);
+    switch (op.kind) {
+      case Op::Kind::MissStart:
+        applyMissStart(op.node, op.blk, op.tick);
+        return;
+      case Op::Kind::MissEnd:
+        applyMissEnd(op.node, op.blk, op.tick);
+        return;
+      case Op::Kind::PfIssue:
+        applyPfIssue(op.node, op.blk, op.tick);
+        return;
+      case Op::Kind::PfFill:
+        applyPfFill(op.node, op.blk, op.tick);
+        return;
+      case Op::Kind::PfFate:
+        applyPfFate(op.node, op.blk, op.fate, op.tick);
         return;
     }
-    applyMissStart(node, blk, t);
-}
-
-void
-ChromeTracer::demandMissEnd(NodeId node, Addr blk, Tick t)
-{
-    if (staging()) {
-        stage(StagedOp::Kind::MissEnd, node, blk, t);
-        return;
-    }
-    applyMissEnd(node, blk, t);
-}
-
-void
-ChromeTracer::prefetchIssue(NodeId node, Addr blk, Tick t)
-{
-    if (staging()) {
-        stage(StagedOp::Kind::PfIssue, node, blk, t);
-        return;
-    }
-    applyPfIssue(node, blk, t);
-}
-
-void
-ChromeTracer::prefetchFill(NodeId node, Addr blk, Tick t)
-{
-    if (staging()) {
-        stage(StagedOp::Kind::PfFill, node, blk, t);
-        return;
-    }
-    applyPfFill(node, blk, t);
-}
-
-void
-ChromeTracer::prefetchFate(NodeId node, Addr blk, audit::Fate fate, Tick t)
-{
-    if (staging()) {
-        stage(StagedOp::Kind::PfFate, node, blk, t, fate);
-        return;
-    }
-    applyPfFate(node, blk, fate, t);
 }
 
 void

@@ -14,15 +14,14 @@
  * Recording is windowed by tick range so long runs stay loadable, and
  * strictly read-only: enabling it never changes simulated behaviour.
  *
- * Under the sharded engine (enableStaging) the per-node hooks run
- * concurrently on shard threads, so instead of touching the shared
- * open-interval maps they append a compact op into a per-node,
- * cache-line-padded lane; the machine drains the lanes at every window
- * boundary (drainStaged) in the canonical (tick, node, append index)
- * order -- the same total order the serial tie-break produces -- and
- * only the drain mutates the maps and the event buffer. Output is
- * byte-identical at every shard count. Mesh hooks need no lane: the
- * exchange already replays them single-threaded in canonical order.
+ * The simulator reports per-node transitions as Op records through the
+ * machine's staging lanes (sim/lanes.hh), which hand them to record()
+ * in execution order on the serial engine and in canonical (tick,
+ * node, append index) order at each window boundary on the sharded
+ * engine; only record() mutates the open-interval maps and the event
+ * buffer, so output is byte-identical at every shard count. Mesh
+ * transits need no lane: the sharded exchange already replays them
+ * single-threaded in canonical order.
  */
 
 #ifndef PSIM_TRACE_CHROME_TRACE_HH
@@ -54,35 +53,30 @@ class ChromeTracer
         return t >= _start && t <= _end;
     }
 
-    // ---- demand read misses ----
-    void demandMissStart(NodeId node, Addr blk, Tick t);
-    void demandMissEnd(NodeId node, Addr blk, Tick t);
+    /** One per-node transition (demand miss or prefetch lifecycle). */
+    struct Op
+    {
+        enum class Kind : std::uint8_t
+        {
+            MissStart, ///< demand read miss detected
+            MissEnd,   ///< demand read miss filled
+            PfIssue,
+            PfFill,
+            PfFate,    ///< terminal fate (audit fate taxonomy)
+        };
 
-    // ---- prefetch lifecycles (audit fate taxonomy) ----
-    void prefetchIssue(NodeId node, Addr blk, Tick t);
-    void prefetchFill(NodeId node, Addr blk, Tick t);
-    void prefetchFate(NodeId node, Addr blk, audit::Fate fate, Tick t);
+        Tick tick;
+        NodeId node;
+        Addr blk;
+        Kind kind;
+        audit::Fate fate = audit::Fate::None; ///< valid for PfFate
+    };
 
-    // ---- mesh message transits ----
+    void record(const Op &op);
+
+    /** A mesh message transit. */
     void meshMessage(NodeId src, NodeId dst, unsigned flits, Tick inject,
                      Tick arrival);
-
-    // ---- sharded-engine staging ----
-
-    /**
-     * Route the per-node hooks above into one staging lane per node
-     * (shard threads write only their own nodes' lanes). Call before
-     * the run; the machine then drains at every window boundary.
-     */
-    void enableStaging(unsigned num_nodes);
-
-    /**
-     * Apply every staged op -- all carry ticks below @p window_end --
-     * in (tick, node, per-node append index) order, then clear the
-     * lanes. Single-threaded; call between windows, before the mesh
-     * exchange injects that window's transit events.
-     */
-    void drainStaged(Tick window_end);
 
     std::size_t eventCount() const { return _events.size(); }
 
@@ -105,40 +99,11 @@ class ChromeTracer
     /** Open interval start ticks, keyed by (node, block address). */
     using OpenMap = std::unordered_map<std::uint64_t, Tick>;
 
-    /** One deferred per-node hook call (sharded staging mode). */
-    struct StagedOp
-    {
-        enum class Kind : std::uint8_t
-        {
-            MissStart,
-            MissEnd,
-            PfIssue,
-            PfFill,
-            PfFate,
-        };
-
-        Kind kind;
-        audit::Fate fate; ///< valid for PfFate
-        NodeId node;
-        Addr blk;
-        Tick t;
-    };
-
-    /** Per-node op lane, padded so shards never share a cache line. */
-    struct alignas(64) Lane
-    {
-        std::vector<StagedOp> ops;
-    };
-
     static std::uint64_t
     key(NodeId node, Addr blk)
     {
         return (static_cast<std::uint64_t>(node) << 48) ^ blk;
     }
-
-    bool staging() const { return !_lanes.empty(); }
-    void stage(StagedOp::Kind kind, NodeId node, Addr blk, Tick t,
-               audit::Fate fate = audit::Fate::None);
 
     void applyMissStart(NodeId node, Addr blk, Tick t);
     void applyMissEnd(NodeId node, Addr blk, Tick t);
@@ -153,7 +118,6 @@ class ChromeTracer
     OpenMap _openMisses;
     OpenMap _openPrefetches;
     std::vector<TraceEvent> _events;
-    std::vector<Lane> _lanes; ///< non-empty only in staging mode
 };
 
 } // namespace psim

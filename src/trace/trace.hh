@@ -13,10 +13,8 @@
  * 40-byte records: tick (8), pc (8), addr (8), node (4), kind (1),
  * hit (1), 10 bytes of zero padding. Every field is serialized
  * explicitly in little-endian byte order, so captures are portable
- * across hosts and archivable. Version-1 files (written as raw
- * host-endian structs by older builds) are still readable on
- * little-endian hosts via a compatibility path behind the version
- * check.
+ * across hosts and archivable. Any other version, including the
+ * host-endian version 1 of older builds, is rejected.
  *
  * The header's record count is written by TraceWriter::close(); a
  * reader cross-checks it against the actual file size and fails loudly

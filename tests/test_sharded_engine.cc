@@ -4,9 +4,10 @@
  * engine: the deterministic (owner, counter) ordering contract of
  * EventQueue::runWindow, the ShardGang round protocol, and the
  * machine-level guarantees that stats AND every shard-aware observer
- * (sampler, chrome trace, commit stream) are byte-identical at every
- * shard count (`--shards 1` is the reference ordering; 2, 4, 8 must
- * reproduce it exactly) while remaining read-only.
+ * (sampler, chrome trace, commit stream, binary trace) are
+ * byte-identical at every shard count (`--shards 1` is the reference
+ * ordering; 2, 4, 8 must reproduce it exactly) while remaining
+ * read-only.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,8 @@
 #include <array>
 #include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -451,22 +454,66 @@ TEST(ShardedObservers, CommitStreamIdenticalForFuzzPrograms)
     }
 }
 
-TEST(ShardedObserversDeath, SerialOnlyObserversFailLoudly)
+namespace
 {
-    // The one observer without a staging representation (the binary
-    // SLC reference trace) must refuse the sharded engine with the
-    // uniform gate message instead of silently interleaving records.
+
+/** The binary SLC trace of one @p name run at @p shards. */
+struct TraceCapture
+{
+    std::string bytes;      ///< the whole trace file
+    std::uint64_t records = 0;
+    double requests = 0;    ///< SLC demand reads plus write requests
+};
+
+TraceCapture
+traceAtShards(const std::string &name, unsigned shards)
+{
     MachineConfig cfg;
-    cfg.numProcs = 4;
-    cfg.shards = 2;
-    std::string path = std::string(::testing::TempDir()) +
-                       "gate.psimtrace";
-    EXPECT_DEATH(
-            {
-                Machine m(cfg);
-                TraceWriter w(path);
-                m.enableTracing(w);
-            },
-            "not shard-aware");
+    cfg.numProcs = 16;
+    cfg.meshCols = 4;
+    cfg.prefetch.scheme = PrefetchScheme::IDet;
+    cfg.shards = shards;
+    Machine m(cfg);
+    auto wl = apps::makeWorkload(name, 1);
+    std::string path = std::string(::testing::TempDir()) + name + "-s" +
+                       std::to_string(shards) + ".psimtrace";
+    TraceWriter w(path);
+    m.enableTracing(w);
+    wl->attach(m);
+    m.run();
+    EXPECT_TRUE(m.allFinished()) << name << " shards=" << shards;
+    w.close();
+
+    TraceCapture cap;
+    cap.records = w.count();
+    for (NodeId n = 0; n < m.numProcs(); ++n) {
+        const Slc &slc = m.node(n).slc();
+        cap.requests += slc.demandReads.value() + slc.writeRequests.value();
+    }
+    std::ifstream in(path, std::ios::binary);
+    cap.bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
     std::remove(path.c_str());
+    return cap;
+}
+
+} // namespace
+
+TEST(ShardedObservers, BinaryTraceByteIdenticalAcrossShardCounts)
+{
+    // The trace stages through the same lanes as every other observer:
+    // one record per SLC-presented request, in the --shards 1 order at
+    // every partition.
+    for (const char *name : {"lu", "kvstore"}) {
+        TraceCapture ref = traceAtShards(name, 1);
+        ASSERT_GT(ref.records, 0u) << name;
+        EXPECT_EQ(static_cast<double>(ref.records), ref.requests) << name;
+        for (unsigned shards : {2u, 8u}) {
+            TraceCapture got = traceAtShards(name, shards);
+            EXPECT_EQ(ref.records, got.records)
+                    << name << " shards=" << shards;
+            EXPECT_TRUE(ref.bytes == got.bytes)
+                    << name << " trace diverged at shards=" << shards;
+        }
+    }
 }

@@ -229,38 +229,23 @@ TEST(Trace, GoldenBytesMatchTheDocumentedFormat)
     std::remove(path.c_str());
 }
 
-// Version-1 compatibility: v1 files were raw little-endian structs with
-// the same layout, so the reader must still accept them (this build
-// only writes v2).
-TEST(Trace, ReadsVersion1Files)
+// Version 1 wrote raw host-endian structs; this build reads only the
+// portable v2 encoding and must refuse a v1 header outright.
+TEST(TraceDeath, Version1IsRejected)
 {
-    std::string path = tmpPath("v1.psimtrace");
-    std::string bytes = readFileBytes([&] {
-        std::string tmp = tmpPath("v1src.psimtrace");
-        TraceWriter w(tmp);
-        TraceRecord r;
-        r.tick = 77;
-        r.pc = 0xAB;
-        r.addr = 0x1000;
-        r.node = 3;
-        r.kind = TraceRecord::Kind::Read;
-        r.hit = false;
-        w.append(r);
-        w.close();
-        return tmp;
-    }());
+    std::string src = tmpPath("v1src.psimtrace");
+    {
+        TraceWriter w(src);
+        w.append(TraceRecord{});
+    }
+    std::string bytes = readFileBytes(src);
     bytes[8] = 1; // patch the version field down to 1
+    std::string path = tmpPath("v1.psimtrace");
     writeFileBytes(path, bytes);
-
-    TraceReader reader(path);
-    EXPECT_EQ(reader.version(), 1u);
-    TraceRecord back;
-    ASSERT_TRUE(reader.next(back));
-    EXPECT_EQ(back.tick, 77u);
-    EXPECT_EQ(back.addr, 0x1000u);
-    EXPECT_EQ(back.node, 3u);
+    EXPECT_EXIT(TraceReader r(path), ::testing::ExitedWithCode(1),
+            "trace version 1 unsupported");
     std::remove(path.c_str());
-    std::remove(tmpPath("v1src.psimtrace").c_str());
+    std::remove(src.c_str());
 }
 
 TEST(TraceDeath, MissingFileIsFatal)

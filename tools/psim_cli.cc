@@ -148,25 +148,23 @@ fuzzMain(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--seeds") {
-            opts.numSeeds = static_cast<unsigned>(atoi(value()));
+            opts.numSeeds = parseUnsignedFlag("--seeds", value());
         } else if (arg == "--seed-start") {
-            opts.seedStart =
-                    static_cast<std::uint64_t>(atoll(value()));
+            opts.seedStart = parseUnsignedStrict("--seed-start", value());
         } else if (arg == "--seed") {
-            opts.seeds.push_back(
-                    static_cast<std::uint64_t>(atoll(value())));
+            opts.seeds.push_back(parseUnsignedStrict("--seed", value()));
         } else if (arg == "--corpus") {
             opts.seeds = readCorpus(value());
         } else if (arg == "--jobs") {
-            opts.jobs = static_cast<unsigned>(atoi(value()));
+            opts.jobs = parseUnsignedFlag("--jobs", value());
         } else if (arg == "--no-shrink") {
             opts.shrink = false;
         } else if (arg == "--repro-out") {
             opts.reproPath = value();
         } else if (arg == "--tick-limit") {
-            opts.tickLimit = static_cast<Tick>(atoll(value()));
+            opts.tickLimit = parseTickFlag("--tick-limit", value());
         } else if (arg == "--shards") {
-            opts.shards = static_cast<unsigned>(atoi(value()));
+            opts.shards = parseUnsignedFlag("--shards", value());
         } else if (arg == "--mutant") {
             std::string m = value();
             if (m == "corrupt-load")
@@ -222,23 +220,23 @@ main(int argc, char **argv)
         } else if (arg == "--scheme") {
             cfg.prefetch.scheme = parseScheme(value());
         } else if (arg == "--degree") {
-            cfg.prefetch.degree = static_cast<unsigned>(atoi(value()));
+            cfg.prefetch.degree = parseUnsignedFlag("--degree", value());
         } else if (arg == "--procs") {
-            cfg.numProcs = static_cast<unsigned>(atoi(value()));
+            cfg.numProcs = parseUnsignedFlag("--procs", value());
             if (cfg.numProcs < 4)
                 cfg.meshCols = cfg.numProcs;
         } else if (arg == "--slc") {
-            cfg.slcSize = static_cast<unsigned>(atoi(value()));
+            cfg.slcSize = parseUnsignedFlag("--slc", value());
         } else if (arg == "--block") {
-            cfg.blockSize = static_cast<unsigned>(atoi(value()));
+            cfg.blockSize = parseUnsignedFlag("--block", value());
         } else if (arg == "--scale") {
             opts.scale = parseUnsignedFlag("--scale", value());
             if (opts.scale == 0)
                 psim_fatal("--scale must be >= 1");
         } else if (arg == "--seed") {
-            cfg.seed = static_cast<std::uint64_t>(atoll(value()));
+            cfg.seed = parseUnsignedStrict("--seed", value());
         } else if (arg == "--shards") {
-            cfg.shards = static_cast<unsigned>(atoi(value()));
+            cfg.shards = parseUnsignedFlag("--shards", value());
         } else if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--characterize") {
