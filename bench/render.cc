@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <initializer_list>
 
-#include "common.hh"
-
 namespace psim::bench
 {
 
@@ -23,10 +21,80 @@ cellAt(const Spec &s, const Results &r, std::size_t group,
     return r.cells.at(s.cellIndex(group, idx));
 }
 
+void
+hr(unsigned width = 78)
+{
+    for (unsigned i = 0; i < width; ++i)
+        std::putchar('-');
+    std::putchar('\n');
+}
+
+/** Format the dominant strides like the paper: "1(93%), 65(42%)". */
+std::string
+dominantStrides(const StrideCharacterizer::Report &r, unsigned max_entries)
+{
+    std::string out;
+    unsigned shown = 0;
+    for (const auto &[stride, fraction] : r.topStrides) {
+        if (shown >= max_entries || fraction < 0.05)
+            break;
+        if (shown)
+            out += ", ";
+        out += std::to_string(stride) + "(" +
+               std::to_string(static_cast<int>(fraction * 100 + 0.5)) +
+               "%)";
+        ++shown;
+    }
+    if (out.empty())
+        out = "-";
+    return out;
+}
+
+/**
+ * The characterizer columns shared by Table 2, Table 3 and the server
+ * Table 2, after the caller's leading columns: stride-miss share,
+ * average sequence length, read misses and dominant strides.
+ */
+void
+printCharacterizerRow(const CellResult &c)
+{
+    const StrideCharacterizer::Report &report = c.characterizer;
+    std::printf(" %13.1f%% %14.1f %12llu   %s\n",
+                100.0 * report.strideFraction, report.avgSequenceLength,
+                static_cast<unsigned long long>(report.totalMisses),
+                dominantStrides(report, 3).c_str());
+}
+
+/** The note under Table 2 and the server Table 2. */
+void
+printStrideMissNote()
+{
+    std::printf("\nstride misses = %% of demand read misses inside "
+                "stride sequences (>=3 equidistant\naccesses from one "
+                "load instruction); strides shorter than a block count "
+                "as 1 block.\n");
+}
+
+/**
+ * The relative-metrics columns shared by the degree, adaptive and
+ * lookahead reports, after the caller's leading columns: read misses
+ * and read stall relative to @p base (each @p width wide), prefetch
+ * efficiency and network flits relative to @p base.
+ */
+void
+printRelativeRow(const CellResult &run, const CellResult &base, int width)
+{
+    std::printf(" %*.2f %*.2f %s %12.2f\n", width,
+                run.metrics.readMisses / base.metrics.readMisses, width,
+                run.metrics.readStall / base.metrics.readStall,
+                fmtEff(run.metrics.prefetchEfficiency(), 10).c_str(),
+                run.metrics.flits / base.metrics.flits);
+}
+
 // ---- Table 2: application characteristics, infinite SLC ----
 
 void
-renderTable2(const Spec &s, const Results &r)
+renderTable2(const Spec &s, const Results &r, const char *)
 {
     const std::vector<AxisValue> &apps = s.axis(0, "app").values;
 
@@ -44,25 +112,17 @@ renderTable2(const Spec &s, const Results &r)
     hr();
 
     for (std::size_t w = 0; w < apps.size(); ++w) {
-        const CellResult &c = cellAt(s, r, 0, {w});
-        const auto &report = c.characterizer;
-        std::printf("%-10s %13.1f%% %14.1f %12llu   %s\n",
-                    apps[w].id.c_str(), 100.0 * report.strideFraction,
-                    report.avgSequenceLength,
-                    static_cast<unsigned long long>(report.totalMisses),
-                    dominantStrides(report, 3).c_str());
+        std::printf("%-10s", apps[w].id.c_str());
+        printCharacterizerRow(cellAt(s, r, 0, {w}));
     }
     hr();
-    std::printf("\nstride misses = %% of demand read misses inside "
-                "stride sequences (>=3 equidistant\naccesses from one "
-                "load instruction); strides shorter than a block count "
-                "as 1 block.\n");
+    printStrideMissNote();
 }
 
 // ---- Table 3: application characteristics, 16 KB SLC ----
 
 void
-renderTable3(const Spec &s, const Results &r)
+renderTable3(const Spec &s, const Results &r, const char *)
 {
     const std::vector<AxisValue> &apps = s.axis(0, "app").values;
 
@@ -80,17 +140,12 @@ renderTable3(const Spec &s, const Results &r)
 
     for (std::size_t w = 0; w < apps.size(); ++w) {
         const CellResult &c = cellAt(s, r, 0, {w});
-        const auto &report = c.characterizer;
         double total = c.node0DemandReadMisses;
         double repl = total > 0
                 ? 100.0 * c.node0ReplacementMisses / total
                 : 0.0;
-        std::printf("%-10s %11.1f%% %13.1f%% %14.1f %12llu   %s\n",
-                    apps[w].id.c_str(), repl,
-                    100.0 * report.strideFraction,
-                    report.avgSequenceLength,
-                    static_cast<unsigned long long>(report.totalMisses),
-                    dominantStrides(report, 3).c_str());
+        std::printf("%-10s %11.1f%%", apps[w].id.c_str(), repl);
+        printCharacterizerRow(c);
     }
     hr(86);
     std::printf("\nrepl misses = replacement misses as %% of node 0's "
@@ -116,7 +171,7 @@ dominantStride(const StrideCharacterizer::Report &report)
 }
 
 void
-renderTable4(const Spec &s, const Results &r)
+renderTable4(const Spec &s, const Results &r, const char *)
 {
     const std::vector<AxisValue> &apps = s.axis(0, "app").values;
 
@@ -148,12 +203,13 @@ renderTable4(const Spec &s, const Results &r)
     hr(96);
 }
 
-// ---- Figure 6: the headline scheme comparison ----
+// ---- Scheme grids: Figure 6 and its server and next-gen variants ----
 
 /**
- * The five-panel app x scheme comparison grid shared by fig6 and the
- * server-suite variant: same panels, same relative-to-baseline math,
- * only the headline differs. Axis 0 must be app x scheme with the
+ * The five-panel app x scheme comparison grid shared by fig6,
+ * server_fig6 and extension_nextgen: same panels, same
+ * relative-to-baseline math, only the headline @p title (carried by
+ * the report entry) differs. Axis 0 must be app x scheme with the
  * baseline scheme first.
  */
 void
@@ -219,18 +275,10 @@ renderSchemeGrid(const Spec &s, const Results &r, const char *title)
                 "references.\n", r.cells.size());
 }
 
-void
-renderFig6(const Spec &s, const Results &r)
-{
-    renderSchemeGrid(s, r,
-                     "Figure 6: stride vs. sequential prefetching "
-                     "(16 procs, infinite SLC, d = 1)");
-}
-
 // ---- Server suite: request-stream characteristics ----
 
 void
-renderServerTable2(const Spec &s, const Results &r)
+renderServerTable2(const Spec &s, const Results &r, const char *)
 {
     const std::vector<AxisValue> &apps = s.axis(0, "app").values;
     const std::vector<AxisValue> &thetas =
@@ -248,49 +296,19 @@ renderServerTable2(const Spec &s, const Results &r)
 
     for (std::size_t w = 0; w < apps.size(); ++w) {
         for (std::size_t t = 0; t < thetas.size(); ++t) {
-            const CellResult &c = cellAt(s, r, 0, {w, t});
-            const auto &report = c.characterizer;
-            std::printf("%-10s %8s %13.1f%% %14.1f %12llu   %s\n",
-                        apps[w].id.c_str(), thetas[t].id.c_str(),
-                        100.0 * report.strideFraction,
-                        report.avgSequenceLength,
-                        static_cast<unsigned long long>(
-                                report.totalMisses),
-                        dominantStrides(report, 3).c_str());
+            std::printf("%-10s %8s", apps[w].id.c_str(),
+                        thetas[t].id.c_str());
+            printCharacterizerRow(cellAt(s, r, 0, {w, t}));
         }
         hr(92);
     }
-    std::printf("\nstride misses = %% of demand read misses inside "
-                "stride sequences (>=3 equidistant\naccesses from one "
-                "load instruction); strides shorter than a block count "
-                "as 1 block.\n");
-}
-
-// ---- Server suite: the fig6 grid over the server workloads ----
-
-void
-renderServerFig6(const Spec &s, const Results &r)
-{
-    renderSchemeGrid(s, r,
-                     "Server suite: stride vs. sequential prefetching "
-                     "(16 procs, infinite SLC, d = 1)");
-}
-
-// ---- Extension: next-generation schemes over the server suite ----
-
-void
-renderNextgen(const Spec &s, const Results &r)
-{
-    renderSchemeGrid(s, r,
-                     "Extension: pointer-chase, multi-stride and "
-                     "perceptron-filtered prefetching on the server "
-                     "suite (16 procs, infinite SLC, d = 1)");
+    printStrideMissNote();
 }
 
 // ---- Ablation: block size ----
 
 void
-renderBlocksize(const Spec &s, const Results &r)
+renderBlocksize(const Spec &s, const Results &r, const char *)
 {
     const std::vector<AxisValue> &apps = s.axis(0, "app").values;
     const std::vector<AxisValue> &blocks = s.axis(0, "blockSize").values;
@@ -324,7 +342,7 @@ renderBlocksize(const Spec &s, const Results &r)
 // ---- Ablation: degree of prefetching ----
 
 void
-renderDegree(const Spec &s, const Results &r)
+renderDegree(const Spec &s, const Results &r, const char *)
 {
     const std::vector<AxisValue> &apps = s.axis(0, "app").values;
     const std::vector<AxisValue> &schemes = s.axis(1, "scheme").values;
@@ -347,16 +365,9 @@ renderDegree(const Spec &s, const Results &r)
                 const CellResult &run = cellAt(s, r, 1, {w, sc, di});
                 unsigned d = static_cast<unsigned>(
                         degrees[di].scalar.asNumber("prefetch.degree"));
-                std::printf("%-8s %-7s %4u %14.2f %14.2f %s "
-                            "%12.2f\n",
-                            apps[w].id.c_str(), schemes[sc].id.c_str(), d,
-                            run.metrics.readMisses /
-                                    base.metrics.readMisses,
-                            run.metrics.readStall /
-                                    base.metrics.readStall,
-                            fmtEff(run.metrics.prefetchEfficiency(), 10)
-                                    .c_str(),
-                            run.metrics.flits / base.metrics.flits);
+                std::printf("%-8s %-7s %4u", apps[w].id.c_str(),
+                            schemes[sc].id.c_str(), d);
+                printRelativeRow(run, base, 14);
             }
         }
         hr(92);
@@ -366,7 +377,7 @@ renderDegree(const Spec &s, const Results &r)
 // ---- Extension: adaptive sequential prefetching ----
 
 void
-renderAdaptive(const Spec &s, const Results &r)
+renderAdaptive(const Spec &s, const Results &r, const char *)
 {
     const std::vector<AxisValue> &apps = s.axis(0, "app").values;
     const std::vector<AxisValue> &schemes = s.axis(1, "scheme").values;
@@ -381,14 +392,9 @@ renderAdaptive(const Spec &s, const Results &r)
     for (std::size_t w = 0; w < apps.size(); ++w) {
         const CellResult &base = cellAt(s, r, 0, {w, 0});
         for (std::size_t sc = 0; sc < schemes.size(); ++sc) {
-            const CellResult &run = cellAt(s, r, 1, {w, sc});
-            std::printf("%-10s %-9s %12.2f %12.2f %s %12.2f\n",
-                        apps[w].id.c_str(), schemes[sc].id.c_str(),
-                        run.metrics.readMisses / base.metrics.readMisses,
-                        run.metrics.readStall / base.metrics.readStall,
-                        fmtEff(run.metrics.prefetchEfficiency(), 10)
-                                .c_str(),
-                        run.metrics.flits / base.metrics.flits);
+            std::printf("%-10s %-9s", apps[w].id.c_str(),
+                        schemes[sc].id.c_str());
+            printRelativeRow(cellAt(s, r, 1, {w, sc}), base, 12);
         }
         hr(92);
     }
@@ -397,7 +403,7 @@ renderAdaptive(const Spec &s, const Results &r)
 // ---- Extension: tagged-continuation vs lookahead-PC I-det ----
 
 void
-renderLookahead(const Spec &s, const Results &r)
+renderLookahead(const Spec &s, const Results &r, const char *)
 {
     const std::vector<AxisValue> &apps = s.axis(0, "app").values;
     const std::vector<AxisValue> &variants = s.axis(1, "variant").values;
@@ -413,17 +419,11 @@ renderLookahead(const Spec &s, const Results &r)
     for (std::size_t w = 0; w < apps.size(); ++w) {
         const CellResult &base = cellAt(s, r, 0, {w, 0});
         for (std::size_t v = 0; v < variants.size(); ++v) {
-            const CellResult &run = cellAt(s, r, 1, {w, v});
             const char *scheme =
                     variants[v].id == "idet" ? "i-det" : "i-det-la";
-            std::printf("%-10s %-10s %4s %12.2f %12.2f %s %12.2f\n",
-                        apps[w].id.c_str(), scheme,
-                        variants[v].label.c_str(),
-                        run.metrics.readMisses / base.metrics.readMisses,
-                        run.metrics.readStall / base.metrics.readStall,
-                        fmtEff(run.metrics.prefetchEfficiency(), 10)
-                                .c_str(),
-                        run.metrics.flits / base.metrics.flits);
+            std::printf("%-10s %-10s %4s", apps[w].id.c_str(), scheme,
+                        variants[v].label.c_str());
+            printRelativeRow(cellAt(s, r, 1, {w, v}), base, 12);
         }
         hr(92);
     }
@@ -434,7 +434,7 @@ renderLookahead(const Spec &s, const Results &r)
 // ---- Extension: consistency model and migratory optimization ----
 
 void
-renderProtocol(const Spec &s, const Results &r)
+renderProtocol(const Spec &s, const Results &r, const char *)
 {
     const std::vector<AxisValue> &apps1 = s.axis(0, "app").values;
     const std::vector<AxisValue> &models = s.axis(0, "model").values;
@@ -493,7 +493,7 @@ renderProtocol(const Spec &s, const Results &r)
 // ---- Sensitivity: architectural parameters ----
 
 void
-renderSensitivity(const Spec &s, const Results &r)
+renderSensitivity(const Spec &s, const Results &r, const char *)
 {
     const std::vector<AxisValue> &points = s.axis(0, "point").values;
     const std::vector<AxisValue> &apps = s.axis(0, "app").values;
@@ -526,31 +526,39 @@ renderSensitivity(const Spec &s, const Results &r)
 }
 
 void
-renderNone(const Spec &, const Results &)
+renderNone(const Spec &, const Results &, const char *)
 {
 }
 
+/** One report: its renderer and, for the scheme grids, the headline. */
 struct Entry
 {
     const char *id;
-    Renderer fn;
+    void (*fn)(const Spec &, const Results &, const char *title);
+    const char *title;
 };
 
 constexpr Entry kRenderers[] = {
-    {"table2", renderTable2},
-    {"table3", renderTable3},
-    {"table4", renderTable4},
-    {"fig6", renderFig6},
-    {"server_table2", renderServerTable2},
-    {"server_fig6", renderServerFig6},
-    {"ablation_blocksize", renderBlocksize},
-    {"ablation_degree", renderDegree},
-    {"extension_adaptive", renderAdaptive},
-    {"extension_lookahead", renderLookahead},
-    {"extension_protocol", renderProtocol},
-    {"extension_nextgen", renderNextgen},
-    {"sensitivity_arch", renderSensitivity},
-    {"none", renderNone},
+    {"table2", renderTable2, nullptr},
+    {"table3", renderTable3, nullptr},
+    {"table4", renderTable4, nullptr},
+    {"fig6", renderSchemeGrid,
+     "Figure 6: stride vs. sequential prefetching "
+     "(16 procs, infinite SLC, d = 1)"},
+    {"server_table2", renderServerTable2, nullptr},
+    {"server_fig6", renderSchemeGrid,
+     "Server suite: stride vs. sequential prefetching "
+     "(16 procs, infinite SLC, d = 1)"},
+    {"ablation_blocksize", renderBlocksize, nullptr},
+    {"ablation_degree", renderDegree, nullptr},
+    {"extension_adaptive", renderAdaptive, nullptr},
+    {"extension_lookahead", renderLookahead, nullptr},
+    {"extension_protocol", renderProtocol, nullptr},
+    {"extension_nextgen", renderSchemeGrid,
+     "Extension: pointer-chase, multi-stride and perceptron-filtered "
+     "prefetching on the server suite (16 procs, infinite SLC, d = 1)"},
+    {"sensitivity_arch", renderSensitivity, nullptr},
+    {"none", renderNone, nullptr},
 };
 
 } // namespace
@@ -560,7 +568,9 @@ findRenderer(const std::string &report)
 {
     for (const Entry &e : kRenderers) {
         if (report == e.id)
-            return e.fn;
+            return [e](const Spec &s, const Results &r) {
+                e.fn(s, r, e.title);
+            };
     }
     return nullptr;
 }

@@ -1,18 +1,19 @@
 /**
  * @file
- * Report renderers: turn one executed spec (sim/spec.hh) back into the
- * exact stdout of the legacy per-table harness it replaced.
+ * Report renderers: turn one executed spec (sim/spec.hh) into the
+ * paper's printed table or figure on stdout.
  *
  * Each renderer is keyed by the spec's "report" id and addresses cells
  * through Spec::cellIndex(), so the printed table is independent of
- * the flat cell order and byte-identical to the pre-spec binaries
- * (pinned in tests/golden/<name>.stdout.txt). A spec with report
- * "none" renders nothing -- the JSON results document is the output.
+ * the flat cell order and byte-identical to the pinned layout
+ * (tests/golden/<name>.stdout.txt). A spec with report "none" renders
+ * nothing -- the JSON results document is the output.
  */
 
 #ifndef PSIM_BENCH_RENDER_HH
 #define PSIM_BENCH_RENDER_HH
 
+#include <functional>
 #include <string>
 
 #include "sim/spec.hh"
@@ -20,9 +21,10 @@
 namespace psim::bench
 {
 
-using Renderer = void (*)(const spec::Spec &, const spec::Results &);
+using Renderer =
+        std::function<void(const spec::Spec &, const spec::Results &)>;
 
-/** The renderer for @p report, or nullptr when the id is unknown. */
+/** The renderer for @p report, or an empty one when the id is unknown. */
 Renderer findRenderer(const std::string &report);
 
 /** Comma-separated list of the known report ids (for error messages). */

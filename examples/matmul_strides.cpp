@@ -12,7 +12,6 @@
  * on it.
  */
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 
@@ -20,24 +19,12 @@
 
 using namespace psim;
 
-/** "0.63"-style efficiency, or "—" when no prefetches were issued. */
-static std::string
-fmtEff(double eff, int width)
-{
-    char buf[32];
-    if (std::isnan(eff)) // the em dash is 3 bytes, 1 display column
-        std::snprintf(buf, sizeof(buf), "%*s", width + 2, "—");
-    else
-        std::snprintf(buf, sizeof(buf), "%*.2f", width, eff);
-    return buf;
-}
-
 int
 main(int argc, char **argv)
 {
-    apps::ObservabilityOptions obs;
+    apps::RunOptions opts;
     for (int i = 1; i < argc; ++i) {
-        if (!obs.parseArg(argc, argv, &i)) {
+        if (!opts.obs.parseArg(argc, argv, &i)) {
             std::printf("unknown argument '%s' (this example only takes "
                         "the shared observability flags)\n", argv[i]);
             return 1;
@@ -50,10 +37,10 @@ main(int argc, char **argv)
     // 1. Characterize the baseline miss stream (Table-2 methodology).
     {
         MachineConfig cfg;
-        apps::RunOptions opts;
-        opts.characterize = true;
-        obs.apply(opts, "matmul-characterize");
-        apps::Run run = apps::runWorkload("matmul", cfg, opts);
+        apps::RunOptions baseline = opts;
+        baseline.characterize = true;
+        baseline.cell = "matmul-characterize";
+        apps::Run run = apps::runWorkload("matmul", cfg, baseline);
         if (!run.finished || !run.verified) {
             std::printf("baseline run failed\n");
             return 1;
@@ -83,8 +70,7 @@ main(int argc, char **argv)
     for (const char *scheme : {"none", "idet", "ddet", "seq"}) {
         MachineConfig cfg;
         cfg.prefetch.scheme = parseScheme(scheme);
-        apps::RunOptions opts;
-        obs.apply(opts, std::string("matmul-") + scheme);
+        opts.cell = std::string("matmul-") + scheme;
         apps::Run run = apps::runWorkload("matmul", cfg, opts);
         if (!run.finished || !run.verified) {
             std::printf("%s run failed\n", scheme);

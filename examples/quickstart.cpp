@@ -11,45 +11,35 @@
  * `quickstart lu 1 --stats-json out/` produces out/lu-seq.json etc.
  */
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 
 #include "apps/driver.hh"
+#include "sim/parse.hh"
 
 using namespace psim;
-
-/** "0.63"-style efficiency, or "—" when no prefetches were issued. */
-static std::string
-fmtEff(double eff, int width)
-{
-    char buf[32];
-    if (std::isnan(eff)) // the em dash is 3 bytes, 1 display column
-        std::snprintf(buf, sizeof(buf), "%*s", width + 2, "—");
-    else
-        std::snprintf(buf, sizeof(buf), "%*.2f", width, eff);
-    return buf;
-}
 
 int
 main(int argc, char **argv)
 {
     std::string workload = "lu";
-    unsigned scale = 1;
-    apps::ObservabilityOptions obs;
+    apps::RunOptions opts;
     int positional = 0;
     for (int i = 1; i < argc; ++i) {
-        if (obs.parseArg(argc, argv, &i))
+        if (opts.obs.parseArg(argc, argv, &i))
             continue;
-        if (positional == 0)
+        if (positional == 0) {
             workload = argv[i];
-        else if (positional == 1)
-            scale = static_cast<unsigned>(atoi(argv[i]));
+        } else if (positional == 1) {
+            opts.scale = parseUnsignedFlag("scale", argv[i]);
+            if (opts.scale == 0)
+                psim_fatal("scale must be >= 1");
+        }
         ++positional;
     }
 
     std::printf("workload: %s (scale %u), 16 processors, 32 B blocks, "
-                "infinite SLC\n\n", workload.c_str(), scale);
+                "infinite SLC\n\n", workload.c_str(), opts.scale);
     std::printf("%-10s %12s %12s %12s %10s %12s\n", "scheme",
                 "read misses", "read stall", "exec ticks", "pf eff",
                 "net flits");
@@ -59,9 +49,7 @@ main(int argc, char **argv)
          {"none", "idet", "ddet", "seq", "adaptive", "idet-la"}) {
         MachineConfig cfg;
         cfg.prefetch.scheme = parseScheme(scheme);
-        apps::RunOptions opts;
-        opts.scale = scale;
-        obs.apply(opts, workload + "-" + scheme);
+        opts.cell = workload + "-" + scheme;
         apps::Run run = apps::runWorkload(workload, cfg, opts);
         if (!run.finished) {
             std::printf("%-10s DID NOT FINISH\n", scheme);

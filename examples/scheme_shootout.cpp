@@ -13,46 +13,35 @@
  * {infinite, 16 KB} and prints a comparison grid.
  */
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "apps/driver.hh"
+#include "sim/parse.hh"
 
 using namespace psim;
-
-/** "0.63"-style efficiency, or "—" when no prefetches were issued. */
-static std::string
-fmtEff(double eff, int width)
-{
-    char buf[32];
-    if (std::isnan(eff)) // the em dash is 3 bytes, 1 display column
-        std::snprintf(buf, sizeof(buf), "%*s", width + 2, "—");
-    else
-        std::snprintf(buf, sizeof(buf), "%*.2f", width, eff);
-    return buf;
-}
 
 int
 main(int argc, char **argv)
 {
     std::string workload = "ocean";
-    unsigned scale = 1;
-    apps::ObservabilityOptions obs;
+    apps::RunOptions opts;
     int positional = 0;
     for (int i = 1; i < argc; ++i) {
-        if (obs.parseArg(argc, argv, &i))
+        if (opts.obs.parseArg(argc, argv, &i))
             continue;
-        if (positional == 0)
+        if (positional == 0) {
             workload = argv[i];
-        else if (positional == 1)
-            scale = static_cast<unsigned>(atoi(argv[i]));
+        } else if (positional == 1) {
+            opts.scale = parseUnsignedFlag("scale", argv[i]);
+            if (opts.scale == 0)
+                psim_fatal("scale must be >= 1");
+        }
         ++positional;
     }
 
     std::printf("%s (scale %u) across the paper's design space\n\n",
-                workload.c_str(), scale);
+                workload.c_str(), opts.scale);
     std::printf("%-9s %4s %9s | %12s %12s %10s %12s %12s\n", "scheme",
                 "d", "SLC", "read misses", "read stall", "pf eff",
                 "net flits", "exec ticks");
@@ -66,11 +55,8 @@ main(int argc, char **argv)
                 cfg.prefetch.scheme = parseScheme(scheme);
                 cfg.prefetch.degree = d;
                 cfg.slcSize = slc;
-                apps::RunOptions opts;
-                opts.scale = scale;
-                obs.apply(opts, workload + "-" + scheme + "-d" +
-                                std::to_string(d) +
-                                (slc ? "-16KB" : "-inf"));
+                opts.cell = workload + "-" + scheme + "-d" +
+                            std::to_string(d) + (slc ? "-16KB" : "-inf");
                 apps::Run run = apps::runWorkload(workload, cfg, opts);
                 if (!run.finished || !run.verified) {
                     std::printf("%-9s %4u %9s | FAILED\n", scheme, d,

@@ -34,40 +34,49 @@ Run
 runWorkload(const std::string &workload_name, const MachineConfig &cfg,
             const RunOptions &opts)
 {
+    const ObservabilityOptions &obs = opts.obs;
+    if (!obs.sampleCsvPrefix.empty() && obs.sampleInterval == 0)
+        psim_fatal("--sample-csv needs --sample-interval");
+    auto outPath = [&opts](const std::string &prefix, const char *ext) {
+        return opts.cell.empty() ? prefix : prefix + opts.cell + ext;
+    };
+
     Run run;
     run.machine = std::make_unique<Machine>(cfg);
     run.workload = makeWorkload(workload_name, opts.scale);
+    if (!opts.tracePath.empty()) {
+        run.trace = std::make_unique<TraceWriter>(opts.tracePath);
+        run.machine->enableTracing(*run.trace);
+    }
     if (opts.characterize)
         run.machine->enableCharacterizers();
-    if (opts.sampleInterval > 0)
-        run.machine->enableSampling(opts.sampleInterval);
-    if (!opts.chromeTracePath.empty())
-        run.machine->enableChromeTrace(opts.chromeStart, opts.chromeEnd);
+    if (obs.sampleInterval > 0)
+        run.machine->enableSampling(obs.sampleInterval);
+    if (!obs.chromeTracePrefix.empty())
+        run.machine->enableChromeTrace(obs.chromeStart, obs.chromeEnd);
     run.workload->attach(*run.machine);
     run.machine->run(opts.limit);
     run.finished = run.machine->allFinished();
     if (run.finished) {
         run.verified = run.workload->verify(*run.machine);
-        if (opts.checkInvariants)
-            run.machine->checkCoherenceInvariants();
+        run.machine->checkCoherenceInvariants();
     }
+    if (run.trace)
+        run.trace->close();
     run.metrics = run.machine->metrics();
 
-    if (!opts.statsJsonPath.empty()) {
-        writeFile(opts.statsJsonPath, [&run](std::ostream &os) {
-            run.machine->dumpStatsJson(os);
-        });
+    const Machine &m = *run.machine;
+    if (!obs.statsJsonPrefix.empty()) {
+        writeFile(outPath(obs.statsJsonPrefix, ".json"),
+                [&m](std::ostream &os) { m.dumpStatsJson(os); });
     }
-    if (!opts.sampleCsvPath.empty()) {
-        const stats::Sampler *s = run.machine->sampler();
-        psim_assert(s, "--sample-csv needs a sample interval");
-        writeFile(opts.sampleCsvPath,
-                [s](std::ostream &os) { s->dumpCsv(os); });
+    if (!obs.sampleCsvPrefix.empty()) {
+        writeFile(outPath(obs.sampleCsvPrefix, ".csv"),
+                [&m](std::ostream &os) { m.sampler()->dumpCsv(os); });
     }
-    if (!opts.chromeTracePath.empty()) {
-        const ChromeTracer *t = run.machine->chromeTracer();
-        writeFile(opts.chromeTracePath,
-                [t](std::ostream &os) { t->write(os); });
+    if (!obs.chromeTracePrefix.empty()) {
+        writeFile(outPath(obs.chromeTracePrefix, ".json"),
+                [&m](std::ostream &os) { m.chromeTracer()->write(os); });
     }
     return run;
 }
@@ -116,29 +125,6 @@ ObservabilityOptions::parseArg(int argc, char **argv, int *i)
         return true;
     }
     return false;
-}
-
-void
-ObservabilityOptions::apply(RunOptions &opts, const std::string &cell) const
-{
-    if (!statsJsonPrefix.empty()) {
-        opts.statsJsonPath = cell.empty() ? statsJsonPrefix
-                                          : statsJsonPrefix + cell + ".json";
-    }
-    opts.sampleInterval = sampleInterval;
-    if (!sampleCsvPrefix.empty()) {
-        if (sampleInterval == 0)
-            psim_fatal("--sample-csv needs --sample-interval");
-        opts.sampleCsvPath = cell.empty() ? sampleCsvPrefix
-                                          : sampleCsvPrefix + cell + ".csv";
-    }
-    if (!chromeTracePrefix.empty()) {
-        opts.chromeTracePath = cell.empty()
-                ? chromeTracePrefix
-                : chromeTracePrefix + cell + ".json";
-    }
-    opts.chromeStart = chromeStart;
-    opts.chromeEnd = chromeEnd;
 }
 
 } // namespace psim::apps

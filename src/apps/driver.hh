@@ -1,8 +1,11 @@
 /**
  * @file
- * One-call experiment driver: build a machine, attach a workload, run
- * to completion, verify the numerical result, and collect the paper's
- * metrics. Benches, examples and integration tests all go through this.
+ * The one experiment pipeline: build a machine, attach the observers
+ * a run asks for, attach the workload, run to completion, verify the
+ * numerical result, check the coherence invariants, collect the paper's
+ * metrics and write the observers' files. psim_cli, run_spec (through
+ * sim/spec.hh), the examples and the integration tests all run
+ * workloads through runWorkload().
  */
 
 #ifndef PSIM_APPS_DRIVER_HH
@@ -13,12 +16,15 @@
 
 #include "apps/workload.hh"
 #include "sys/machine.hh"
+#include "trace/trace.hh"
 
 namespace psim::apps
 {
 
 struct Run
 {
+    /** The binary SLC trace, closed after the run; null when off. */
+    std::unique_ptr<TraceWriter> trace;
     std::unique_ptr<Machine> machine;
     std::unique_ptr<Workload> workload;
     RunMetrics metrics;
@@ -26,36 +32,9 @@ struct Run
     bool finished = false;
 };
 
-struct RunOptions
-{
-    unsigned scale = 1;
-    bool characterize = false;   ///< attach Table-2/3 characterizers
-    bool checkInvariants = true; ///< verify coherence invariants after
-    Tick limit = kTickNever;     ///< simulated-time safety limit
-
-    // ---- observability (all read-only: enabling any of these never
-    //      changes simulated behaviour or aggregate statistics) ----
-
-    /** Write the schema'd JSON stats dump here (empty: none). */
-    std::string statsJsonPath;
-    /** Snapshot selected scalars every N ticks (0: off). */
-    Tick sampleInterval = 0;
-    /** Write the sampler's time series as CSV here (empty: none). */
-    std::string sampleCsvPath;
-    /** Write a chrome://tracing event file here (empty: none). */
-    std::string chromeTracePath;
-    /** Chrome-trace recording window in ticks. */
-    Tick chromeStart = 0;
-    Tick chromeEnd = kTickNever;
-};
-
-/** Run @p workload_name on a machine configured by @p cfg. */
-Run runWorkload(const std::string &workload_name, const MachineConfig &cfg,
-                const RunOptions &opts = {});
-
 /**
- * Command-line observability flags shared by the benches, the examples
- * and the tools:
+ * Command-line observability flags shared by run_spec, the examples
+ * and psim_cli:
  *
  *   --stats-json PREFIX      JSON stats dump per run
  *   --sample-interval N      sampler period in ticks (with --stats-json
@@ -64,25 +43,20 @@ Run runWorkload(const std::string &workload_name, const MachineConfig &cfg,
  *   --chrome-trace PREFIX    chrome://tracing / Perfetto event file
  *   --chrome-window A:B      restrict chrome-trace recording to [A, B]
  *
- * PREFIX is a path prefix: grid harnesses run many (app, scheme) cells
- * and apply() expands "<prefix><cell>.json" / ".csv" per cell. Callers
- * with a single run pass an empty cell to use PREFIX verbatim.
+ * All of it is read-only: enabling any of these never changes simulated
+ * behaviour or aggregate statistics. PREFIX is a path prefix: a grid
+ * runs many cells and each writes "<prefix><cell>.json" / ".csv" (see
+ * RunOptions::cell); a single run leaves the cell empty and uses PREFIX
+ * verbatim.
  */
 struct ObservabilityOptions
 {
     std::string statsJsonPrefix;
     std::string sampleCsvPrefix;
     std::string chromeTracePrefix;
-    Tick sampleInterval = 0;
-    Tick chromeStart = 0;
+    Tick sampleInterval = 0;     ///< 0: sampling off
+    Tick chromeStart = 0;        ///< chrome-trace recording window
     Tick chromeEnd = kTickNever;
-
-    bool
-    enabled() const
-    {
-        return !statsJsonPrefix.empty() || !sampleCsvPrefix.empty() ||
-               !chromeTracePrefix.empty() || sampleInterval != 0;
-    }
 
     /**
      * Try to consume argv[*i] (and its value). @return true when the
@@ -90,10 +64,30 @@ struct ObservabilityOptions
      * any consumed value. Fatal on a missing or malformed value.
      */
     bool parseArg(int argc, char **argv, int *i);
-
-    /** Fill the observability fields of @p opts for one cell. */
-    void apply(RunOptions &opts, const std::string &cell) const;
 };
+
+struct RunOptions
+{
+    unsigned scale = 1;
+    bool characterize = false;   ///< attach Table-2/3 characterizers
+    Tick limit = kTickNever;     ///< simulated-time safety limit
+    ObservabilityOptions obs;
+    /**
+     * Per-cell file stem: each observability file is written to
+     * "<prefix><cell>.json" (".csv" for the sampler). Empty for a single
+     * run, whose prefixes are the paths themselves.
+     */
+    std::string cell;
+    /** Write the binary SLC reference trace here (empty: none). */
+    std::string tracePath;
+};
+
+/**
+ * Run @p workload_name on a machine configured by @p cfg. Verification
+ * and the coherence-invariant check run only when the machine finished.
+ */
+Run runWorkload(const std::string &workload_name, const MachineConfig &cfg,
+                const RunOptions &opts = {});
 
 } // namespace psim::apps
 

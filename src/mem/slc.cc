@@ -779,14 +779,13 @@ Slc::receive(const Message &m)
 }
 
 void
-Slc::finalizeStats()
+Slc::finalizeStats(Tick end)
 {
-    const Tick now = _eq.now();
-    _array.forEach([this, now](const CacheBlk &blk) {
+    _array.forEach([this, end](const CacheBlk &blk) {
         if (blk.prefetched) {
             ++pfUselessUnused;
             noteFate(blk.addr, audit::Fate::ResidentAtEnd,
-                    audit::Event::EndOfRun, now);
+                    audit::Event::EndOfRun, end);
         }
     });
     if (_audit)

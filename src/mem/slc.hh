@@ -65,8 +65,11 @@ class Slc
     /** Register this cache's statistics into @p g. */
     void registerStats(stats::Group &g);
 
-    /** Count still-tagged blocks as useless at end of simulation. */
-    void finalizeStats();
+    /**
+     * Count still-tagged blocks as useless at end of simulation; their
+     * resident-at-end fates carry the run's final tick @p end.
+     */
+    void finalizeStats(Tick end);
 
     Prefetcher &prefetcher() { return *_prefetcher; }
 

@@ -6,13 +6,7 @@
 namespace psim::stats
 {
 
-Sampler::Sampler(EventQueue &eq, Tick interval)
-    : _eq(&eq), _interval(interval)
-{
-    psim_assert(interval > 0, "sample interval must be positive");
-}
-
-Sampler::Sampler(Tick interval) : _eq(nullptr), _interval(interval)
+Sampler::Sampler(Tick interval) : _interval(interval)
 {
     psim_assert(interval > 0, "sample interval must be positive");
 }
@@ -20,52 +14,23 @@ Sampler::Sampler(Tick interval) : _eq(nullptr), _interval(interval)
 void
 Sampler::addProbe(std::string name, std::function<double()> fn)
 {
-    psim_assert(!_started, "probes must register before start()");
+    psim_assert(_rows.empty(), "probes must register before the first "
+            "sample");
     _names.push_back(std::move(name));
     _probes.push_back(std::move(fn));
 }
 
 void
-Sampler::start()
+Sampler::sampleAt(Tick t)
 {
-    psim_assert(_eq, "start() is for the event-driven sampler; the "
-            "boundary-driven sampler is fed via sampleAt()");
-    psim_assert(!_started, "sampler already started");
-    _started = true;
-    _eq->scheduleIn(_interval, [this] { tick(); });
-}
-
-void
-Sampler::snapshot(Tick t)
-{
+    psim_assert(_rows.empty() || t > _rows.back().tick,
+            "sample ticks must be strictly increasing");
     Row row;
     row.tick = t;
     row.values.reserve(_probes.size());
     for (const auto &p : _probes)
         row.values.push_back(p());
     _rows.push_back(std::move(row));
-}
-
-void
-Sampler::sampleAt(Tick t)
-{
-    psim_assert(!_eq, "sampleAt() is for the boundary-driven sampler");
-    psim_assert(_rows.empty() || t > _rows.back().tick,
-            "sample ticks must be strictly increasing");
-    _started = true;
-    snapshot(t);
-}
-
-void
-Sampler::tick()
-{
-    snapshot(_eq->now());
-
-    // The fired event is already reclaimed, so empty() reflects only
-    // the simulation's own events: once none remain the run is over and
-    // rescheduling would only spin the clock forward.
-    if (!_eq->empty())
-        _eq->scheduleIn(_interval, [this] { tick(); });
 }
 
 void

@@ -5,24 +5,16 @@
  * occupancies, network flits, ...) so the *phase behaviour* of a
  * workload becomes visible, not just its end-of-run aggregates.
  *
- * The sampler is pure observation: it never mutates simulated state and
- * never changes the relative order of other events, so a run with
- * sampling enabled produces byte-identical aggregate statistics to one
- * without (asserted by tests/test_stats_export.cc).
- *
- * Two drive modes share the row buffer and the dump formats:
- *
- *  - Event-driven (serial engine): start() schedules a self-renewing
- *    event on the global queue. It stops rescheduling itself as soon as
- *    no other event is pending, so it never keeps the queue alive
- *    artificially.
- *  - Boundary-driven (sharded engine): the machine calls sampleAt() at
- *    the first natural window boundary at or after each sample tick.
- *    All events below that boundary have fired and none at or above it
- *    has, so the snapshot is a quiescent cut; windows themselves are
- *    never reshaped by sampling, so the run is provably unperturbed,
- *    and window starts are shard-count-invariant, so rows are
- *    byte-identical at every shard count.
+ * The machine drives the sampler on both engines the same way: it runs
+ * the simulation up to a boundary and calls sampleAt(). A row stamped
+ * T is the cut below tick T -- every event before T has fired and none
+ * at or after it has. The serial engine stops its queue just below
+ * each sample tick; the sharded engine takes the row at the first
+ * window boundary at or after it, where no event lies between T and
+ * the boundary. Neither engine reshapes its run for a sample, so a run
+ * with sampling enabled produces byte-identical aggregate statistics to
+ * one without (asserted by tests/test_stats_export.cc), and sharded
+ * rows are byte-identical at every shard count.
  */
 
 #ifndef PSIM_SIM_SAMPLER_HH
@@ -33,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/event_queue.hh"
 #include "sim/types.hh"
 
 namespace psim::stats
@@ -42,13 +33,7 @@ namespace psim::stats
 class Sampler
 {
   public:
-    /**
-     * Event-driven mode (serial engine).
-     * @param interval ticks between snapshots (must be > 0)
-     */
-    Sampler(EventQueue &eq, Tick interval);
-
-    /** Boundary-driven mode (sharded engine): drive via sampleAt(). */
+    /** @param interval ticks between snapshots (must be > 0) */
     explicit Sampler(Tick interval);
 
     Sampler(const Sampler &) = delete;
@@ -57,13 +42,10 @@ class Sampler
     /** Register a named probe; call before the first snapshot. */
     void addProbe(std::string name, std::function<double()> fn);
 
-    /** Event-driven only: schedule the first snapshot at now + interval. */
-    void start();
-
     /**
-     * Boundary-driven only: record one row stamped with tick @p t. The
-     * machine calls this between windows once the next window start has
-     * reached @p t, so the cut is quiescent at that boundary.
+     * Record one row stamped with tick @p t. The machine calls this
+     * once no event below @p t is pending and none at or above it has
+     * fired.
      */
     void sampleAt(Tick t);
 
@@ -89,15 +71,10 @@ class Sampler
     void dumpCsv(std::ostream &os) const;
 
   private:
-    void tick();
-    void snapshot(Tick t);
-
-    EventQueue *_eq; ///< null in boundary-driven mode
     Tick _interval;
     std::vector<std::string> _names;
     std::vector<std::function<double()>> _probes;
     std::vector<Row> _rows;
-    bool _started = false;
 };
 
 } // namespace psim::stats

@@ -516,7 +516,8 @@ runSpec(const Spec &spec, const ExecOptions &exec)
         apps::RunOptions ropts;
         ropts.characterize = cell.run.characterize.value_or(false);
         ropts.scale = cell.run.scale.value_or(1);
-        exec.obs.apply(ropts, cell.id);
+        ropts.obs = exec.obs;
+        ropts.cell = cell.id;
 
         const auto c0 = std::chrono::steady_clock::now();
         apps::Run run = apps::runWorkload(cell.workload, cell.cfg, ropts);

@@ -12,9 +12,9 @@
  * document (scripts/results_schema.json) that golden `BENCH_*.json`
  * snapshots and scripts/diff_results.py regression-gate in CI.
  *
- * The bench layer (bench/run_spec + the thin legacy shims) adds the
- * table renderers that turn a Results into the paper's printed layout;
- * everything in this header is presentation-free grid plumbing.
+ * The bench layer (bench/run_spec) adds the table renderers that turn
+ * a Results into the paper's printed layout; everything in this header
+ * is presentation-free grid plumbing.
  *
  * ## Spec format
  *
@@ -104,15 +104,6 @@ struct RunOverrides
             characterize = other.characterize;
         if (other.scale)
             scale = other.scale;
-    }
-
-    void
-    apply(apps::RunOptions &opts) const
-    {
-        if (characterize)
-            opts.characterize = *characterize;
-        if (scale)
-            opts.scale = *scale;
     }
 };
 

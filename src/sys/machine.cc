@@ -1,6 +1,8 @@
 #include "sys/machine.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <map>
 #include <sstream>
 
@@ -11,6 +13,20 @@
 
 namespace psim
 {
+
+std::string
+fmtEff(double eff, int width)
+{
+    char buf[32];
+    if (std::isnan(eff)) {
+        // The em dash is 3 UTF-8 bytes but one display column; widen
+        // the field so printf's byte-counting padding still lines up.
+        std::snprintf(buf, sizeof(buf), "%*s", width ? width + 2 : 0, "—");
+    } else {
+        std::snprintf(buf, sizeof(buf), "%*.2f", width, eff);
+    }
+    return buf;
+}
 
 Machine::Machine(MachineConfig cfg)
     : _cfg(cfg),
@@ -139,14 +155,7 @@ Machine::enableSampling(Tick interval)
 {
     psim_assert(!_ran, "sampling must attach before run()");
     psim_assert(!_sampler, "sampling already enabled");
-    if (_nshards > 0) {
-        // Boundary-driven: runSharded feeds sampleAt() at the first
-        // window boundary at or after each sample tick; windows are
-        // never reshaped, so sampling cannot perturb the run.
-        _sampler = std::make_unique<stats::Sampler>(interval);
-    } else {
-        _sampler = std::make_unique<stats::Sampler>(_eq, interval);
-    }
+    _sampler = std::make_unique<stats::Sampler>(interval);
     for (NodeId n = 0; n < _cfg.numProcs; ++n) {
         Node *node = _nodes[n].get();
         std::string prefix = "node" + std::to_string(n);
@@ -168,8 +177,6 @@ Machine::enableSampling(Tick interval)
     }
     _sampler->addProbe("mesh.flits",
             [this] { return _mesh.flitsInjected.value(); });
-    if (_nshards == 0)
-        _sampler->start();
 }
 
 void
@@ -205,18 +212,40 @@ Tick
 Machine::run(Tick limit)
 {
     _ran = true;
-    if (_nshards > 0)
-        return runSharded(limit);
-    for (auto &node : _nodes)
-        node->cpu().start();
-    Tick end = _eq.run(limit);
+    Tick end = _nshards > 0 ? runSharded(limit) : runSerial(limit);
     if (allFinished()) {
+        // Stamped with the run's end tick, not a queue's clock: a shard
+        // queue stops at its own last event, so only the machine-wide
+        // end is the same at every shard count.
         for (auto &node : _nodes)
-            node->slc().finalizeStats();
+            node->slc().finalizeStats(end);
         if (_audit)
             _audit->finalize(*this);
     }
+    // finalizeStats reports the resident-at-end fates through the
+    // chrome lanes; on the sharded engine they wait there for this.
+    drainLanes(kTickNever);
     return end;
+}
+
+Tick
+Machine::runSerial(Tick limit)
+{
+    for (auto &node : _nodes)
+        node->cpu().start();
+    if (!_sampler)
+        return _eq.run(limit);
+    // Stop the queue just below each sample tick, so row T is the same
+    // cut the sharded engine takes at a window boundary. The trailing
+    // row lands within one interval after the final event.
+    for (Tick t = _sampler->interval();; t += _sampler->interval()) {
+        if (t > limit)
+            return _eq.run(limit);
+        _eq.run(t - 1);
+        _sampler->sampleAt(t);
+        if (_eq.empty())
+            return _eq.now();
+    }
 }
 
 Tick
@@ -282,18 +311,10 @@ Machine::runSharded(Tick limit)
         drainLanes(wend);
     }
 
-    // Mirror the event-driven sampler's trailing row: it stops
-    // rescheduling only after observing a drained queue, so the last
-    // snapshot falls within one interval after the final event.
+    // The trailing row, as on the serial engine: one more snapshot
+    // within one interval after the final event.
     if (_sampler && quiesced)
         _sampler->sampleAt(nextSample);
-
-    if (allFinished()) {
-        for (auto &node : _nodes)
-            node->slc().finalizeStats();
-        if (_audit)
-            _audit->finalize(*this);
-    }
     return end;
 }
 

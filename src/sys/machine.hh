@@ -11,6 +11,11 @@
  * binary-trace records) and every cross-node message goes through one
  * per-node staging lane set (sim/lanes.hh), drained at each window
  * boundary in the canonical (tick, node, append index) order.
+ *
+ * run() drives either engine and ends both with one tail: end-of-run
+ * SLC statistics and fates, the audit's finalize, and a last lane
+ * drain. The interval sampler is fed the same way on both engines, at
+ * a cut below each sample tick (sim/sampler.hh).
  */
 
 #ifndef PSIM_SYS_MACHINE_HH
@@ -19,6 +24,7 @@
 #include <limits>
 #include <memory>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "check/access_log.hh"
@@ -75,6 +81,13 @@ struct RunMetrics
                        : std::numeric_limits<double>::quiet_NaN();
     }
 };
+
+/**
+ * Format a prefetch efficiency for a table cell: "0.63"-style, right
+ * aligned in @p width columns, or an em dash when the run issued no
+ * prefetches (the efficiency is NaN).
+ */
+std::string fmtEff(double eff, int width = 0);
 
 class Machine
 {
@@ -197,7 +210,10 @@ class Machine
 
     /**
      * Start every bound thread and run the machine until all threads
-     * finish (or @p limit ticks pass). @return final tick.
+     * finish (or events past @p limit remain). When all finished, the
+     * SLCs count their resident-at-end prefetches and the audit checks
+     * its conservation laws; every lane is drained either way.
+     * @return final tick.
      */
     Tick run(Tick limit = kTickNever);
 
@@ -228,6 +244,9 @@ class Machine
 
   private:
     void deliver(const Message &m);
+
+    /** The serial engine (cfg.shards == 0). */
+    Tick runSerial(Tick limit);
 
     /** The windowed parallel engine (cfg.shards >= 1). */
     Tick runSharded(Tick limit);

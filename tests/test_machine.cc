@@ -71,7 +71,6 @@ TEST(Machine, RunLimitStopsEarly)
     cfg.numProcs = 4;
     apps::RunOptions opts;
     opts.limit = 50; // far too short for any workload
-    opts.checkInvariants = false;
     apps::Run run = apps::runWorkload("lu", cfg, opts);
     EXPECT_FALSE(run.finished);
     EXPECT_LE(run.machine->eq().now(), 50u);

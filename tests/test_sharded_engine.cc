@@ -224,9 +224,7 @@ statsAtShards(const std::string &name, unsigned shards,
     cfg.prefetch.scheme = scheme;
     cfg.shards = shards;
     cfg.audit = audit;
-    apps::RunOptions opts;
-    opts.checkInvariants = false;
-    apps::Run run = apps::runWorkload(name, cfg, opts);
+    apps::Run run = apps::runWorkload(name, cfg);
     EXPECT_TRUE(run.finished) << name << " at shards=" << shards;
     std::ostringstream os;
     run.machine->dumpStats(os);
@@ -411,6 +409,38 @@ TEST(ShardedObservers, ByteIdenticalAcrossShardCounts)
         EXPECT_EQ(ref.chrome, got.chrome) << "shards=" << shards;
         EXPECT_EQ(ref.commits, got.commits) << "shards=" << shards;
     }
+}
+
+TEST(ShardedObservers, ChromeTraceKeepsResidentAtEndFates)
+{
+    // Slc::finalizeStats reports every still-unused prefetched block as
+    // a resident-at-end fate after the last window; the run's final
+    // lane drain must deliver those on the sharded engine too.
+    auto residentAtEnd = [](unsigned shards) {
+        MachineConfig cfg;
+        cfg.prefetch.scheme = PrefetchScheme::IDet;
+        cfg.shards = shards;
+        Machine m(cfg);
+        auto wl = apps::makeWorkload("lu", 1);
+        m.enableChromeTrace();
+        wl->attach(m);
+        m.run();
+        EXPECT_TRUE(m.allFinished()) << "shards=" << shards;
+        std::ostringstream os;
+        m.chromeTracer()->write(os);
+        const std::string doc = os.str();
+        std::size_t n = 0;
+        for (std::size_t pos = doc.find("resident-at-end");
+             pos != std::string::npos;
+             pos = doc.find("resident-at-end", pos + 1))
+            ++n;
+        return n;
+    };
+    EXPECT_GT(residentAtEnd(0), 0u);
+    std::size_t ref = residentAtEnd(1);
+    EXPECT_GT(ref, 0u);
+    for (unsigned shards : {2u, 8u})
+        EXPECT_EQ(ref, residentAtEnd(shards)) << "shards=" << shards;
 }
 
 TEST(ShardedObservers, AreReadOnlyOnTheShardedPath)

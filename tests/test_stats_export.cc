@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "apps/driver.hh"
@@ -124,7 +126,7 @@ TEST(StatsJson, MatchesTextDumpForARealRun)
 TEST(Sampler, SnapshotsAtTheConfiguredInterval)
 {
     apps::RunOptions opts;
-    opts.sampleInterval = 1000;
+    opts.obs.sampleInterval = 1000;
     apps::Run run = apps::runWorkload("lu", smallConfig(), opts);
     ASSERT_TRUE(run.finished);
 
@@ -155,10 +157,40 @@ TEST(Sampler, SnapshotsAtTheConfiguredInterval)
     }
 }
 
+TEST(Sampler, RowAtTickTIsTheStateBelowT)
+{
+    // The one sampling semantics: the row stamped T snapshots the
+    // machine after every event before tick T and none at or after it,
+    // i.e. exactly where a run limited to T - 1 stops.
+    apps::RunOptions opts;
+    opts.obs.sampleInterval = 1000;
+    apps::Run run = apps::runWorkload("lu", smallConfig(), opts);
+    ASSERT_TRUE(run.finished);
+    const stats::Sampler *s = run.machine->sampler();
+    const auto &names = s->probeNames();
+    std::size_t col = 0;
+    while (col < names.size() && names[col] != "node0.readMisses")
+        ++col;
+    ASSERT_LT(col, names.size());
+    ASSERT_GE(s->rows().size(), 8u);
+
+    for (std::size_t r : {std::size_t{2}, s->rows().size() / 2}) {
+        const stats::Sampler::Row &row = s->rows()[r];
+        Machine m(smallConfig());
+        auto wl = apps::makeWorkload("lu", 1);
+        wl->attach(m);
+        m.run(row.tick - 1);
+        ASSERT_FALSE(m.allFinished()) << "T=" << row.tick;
+        EXPECT_EQ(row.values[col],
+                  m.node(0).slc().demandReadMisses.value())
+                << "T=" << row.tick;
+    }
+}
+
 TEST(Sampler, CsvAndJsonRenderTheSameSeries)
 {
     apps::RunOptions opts;
-    opts.sampleInterval = 2000;
+    opts.obs.sampleInterval = 2000;
     apps::Run run = apps::runWorkload("lu", smallConfig(), opts);
     const stats::Sampler *s = run.machine->sampler();
     ASSERT_NE(s, nullptr);
@@ -205,7 +237,7 @@ TEST(Observability, DoesNotChangeSimulatedBehavior)
     }
     {
         apps::RunOptions opts;
-        opts.sampleInterval = 500;
+        opts.obs.sampleInterval = 500;
         apps::Run run = apps::runWorkload("lu", smallConfig(), opts);
         ASSERT_TRUE(run.finished && run.verified);
         run.machine->metrics();
@@ -227,13 +259,10 @@ TEST(Observability, ChromeTraceIsReadOnlyToo)
         apps::Run run = apps::runWorkload("lu", smallConfig());
         plain_mx = run.metrics;
     }
-    apps::RunOptions opts;
-    apps::ObservabilityOptions obs;
-    obs.chromeTracePrefix = "unused"; // apply() sets the path...
     apps::Run run;
     {
-        // ...but here the machine is driven directly to keep the test
-        // free of filesystem output.
+        // The machine is driven directly to keep the test free of
+        // filesystem output.
         run.machine = std::make_unique<Machine>(smallConfig());
         run.workload = apps::makeWorkload("lu", 1);
         run.machine->enableChromeTrace();
@@ -281,7 +310,7 @@ TEST(Observability, ChromeWindowRestrictsRecording)
 }
 
 // ---------------------------------------------------------------------
-// The sharded engine's boundary-driven sampler
+// The sampler on the sharded engine
 // ---------------------------------------------------------------------
 
 TEST(Sampler, BoundaryDrivenSeriesIsShardCountInvariant)
@@ -293,8 +322,7 @@ TEST(Sampler, BoundaryDrivenSeriesIsShardCountInvariant)
         MachineConfig cfg = smallConfig();
         cfg.shards = shards;
         apps::RunOptions opts;
-        opts.sampleInterval = 2000;
-        opts.checkInvariants = false;
+        opts.obs.sampleInterval = 2000;
         apps::Run run = apps::runWorkload("lu", cfg, opts);
         EXPECT_TRUE(run.finished) << "shards=" << shards;
         std::ostringstream os;
@@ -334,7 +362,7 @@ TEST(Observability, ShardedPathIsReadOnlyToo)
 // Option plumbing
 // ---------------------------------------------------------------------
 
-TEST(ObservabilityOptions, ParsesAndExpandsPerCellPaths)
+TEST(ObservabilityOptions, ParsesEveryFlag)
 {
     const char *argv[] = {"prog", "--stats-json", "out/", "--sample-interval",
                           "250", "--sample-csv", "csv/",
@@ -345,27 +373,63 @@ TEST(ObservabilityOptions, ParsesAndExpandsPerCellPaths)
     for (int i = 1; i < argc; ++i) {
         EXPECT_TRUE(obs.parseArg(argc, const_cast<char **>(argv), &i));
     }
-    EXPECT_TRUE(obs.enabled());
+    EXPECT_EQ(obs.statsJsonPrefix, "out/");
+    EXPECT_EQ(obs.sampleCsvPrefix, "csv/");
+    EXPECT_EQ(obs.chromeTracePrefix, "ct/");
     EXPECT_EQ(obs.sampleInterval, 250u);
     EXPECT_EQ(obs.chromeStart, 100u);
     EXPECT_EQ(obs.chromeEnd, 900u);
-
-    apps::RunOptions opts;
-    obs.apply(opts, "lu-seq");
-    EXPECT_EQ(opts.statsJsonPath, "out/lu-seq.json");
-    EXPECT_EQ(opts.sampleCsvPath, "csv/lu-seq.csv");
-    EXPECT_EQ(opts.chromeTracePath, "ct/lu-seq.json");
-    EXPECT_EQ(opts.sampleInterval, 250u);
-
-    // A single-run caller passes an empty cell: paths used verbatim.
-    apps::RunOptions verbatim;
-    obs.apply(verbatim, "");
-    EXPECT_EQ(verbatim.statsJsonPath, "out/");
-    EXPECT_EQ(verbatim.chromeTracePath, "ct/");
 
     // Non-observability arguments are left alone.
     const char *other[] = {"prog", "--jobs", "4"};
     int oi = 1;
     EXPECT_FALSE(obs.parseArg(3, const_cast<char **>(other), &oi));
     EXPECT_EQ(oi, 1);
+}
+
+namespace
+{
+
+bool
+fileNonEmpty(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    return in && in.tellg() > 0;
+}
+
+} // namespace
+
+TEST(ObservabilityOptions, RunWorkloadWritesOneFilePerPrefix)
+{
+    // A grid cell appends its stem to every prefix; a single run (no
+    // cell) uses each prefix as the path itself.
+    const std::string dir = ::testing::TempDir();
+    apps::RunOptions opts;
+    opts.obs.statsJsonPrefix = dir + "stats-";
+    opts.obs.sampleCsvPrefix = dir + "samples-";
+    opts.obs.chromeTracePrefix = dir + "chrome-";
+    opts.obs.sampleInterval = 2000;
+    opts.cell = "lu-seq";
+    apps::Run cell = apps::runWorkload("lu", smallConfig(), opts);
+    ASSERT_TRUE(cell.finished && cell.verified);
+    for (const char *f : {"stats-lu-seq.json", "samples-lu-seq.csv",
+                          "chrome-lu-seq.json"}) {
+        EXPECT_TRUE(fileNonEmpty(dir + f)) << f;
+        std::remove((dir + f).c_str());
+    }
+
+    opts.cell.clear();
+    opts.obs.statsJsonPrefix = dir + "single.stats";
+    opts.obs.sampleCsvPrefix = dir + "single.csv";
+    opts.obs.chromeTracePrefix = dir + "single.chrome";
+    opts.tracePath = dir + "single.psimtrace";
+    apps::Run single = apps::runWorkload("lu", smallConfig(), opts);
+    ASSERT_TRUE(single.finished && single.verified);
+    ASSERT_NE(single.trace, nullptr);
+    EXPECT_GT(single.trace->count(), 0u);
+    for (const char *f : {"single.stats", "single.csv", "single.chrome",
+                          "single.psimtrace"}) {
+        EXPECT_TRUE(fileNonEmpty(dir + f)) << f;
+        std::remove((dir + f).c_str());
+    }
 }

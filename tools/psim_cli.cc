@@ -46,17 +46,12 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 
+#include "apps/driver.hh"
 #include "check/fuzz.hh"
 #include "sim/logging.hh"
 #include "sim/parse.hh"
-#include "sim/sampler.hh"
-#include "trace/chrome_trace.hh"
-
-#include "apps/driver.hh"
-#include "trace/trace.hh"
 
 using namespace psim;
 
@@ -77,20 +72,6 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-/** Open @p path for writing and stream @p emit into it (fatal on error). */
-template <typename Emit>
-void
-writeFile(const std::string &path, Emit emit)
-{
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        psim_fatal("cannot write %s", path.c_str());
-    emit(out);
-    out.flush();
-    if (!out)
-        psim_fatal("write to %s failed", path.c_str());
-}
-
 [[noreturn]] void
 fuzzUsage(const char *argv0)
 {
@@ -103,7 +84,10 @@ fuzzUsage(const char *argv0)
     std::exit(2);
 }
 
-/** Parse a seed-corpus file: one seed per line, '#' starts a comment. */
+/**
+ * Parse a seed-corpus file: one decimal seed per line, '#' starts a
+ * comment. Any other text is fatal, naming the file and line.
+ */
 std::vector<std::uint64_t>
 readCorpus(const std::string &path)
 {
@@ -115,7 +99,7 @@ readCorpus(const std::string &path)
     }
     std::vector<std::uint64_t> seeds;
     std::string line;
-    while (std::getline(in, line)) {
+    for (unsigned lineno = 1; std::getline(in, line); ++lineno) {
         std::size_t hash = line.find('#');
         if (hash != std::string::npos)
             line.erase(hash);
@@ -123,9 +107,10 @@ readCorpus(const std::string &path)
         if (b == std::string::npos)
             continue;
         std::size_t e = line.find_last_not_of(" \t\r");
-        seeds.push_back(static_cast<std::uint64_t>(
-                std::strtoull(line.substr(b, e - b + 1).c_str(),
-                        nullptr, 0)));
+        std::string what = "seed corpus '" + path + "' line " +
+                           std::to_string(lineno);
+        seeds.push_back(parseUnsignedStrict(what.c_str(),
+                line.substr(b, e - b + 1)));
     }
     if (seeds.empty()) {
         std::fprintf(stderr,
@@ -199,12 +184,9 @@ main(int argc, char **argv)
     if (argc > 1 && std::strcmp(argv[1], "fuzz") == 0)
         return fuzzMain(argc, argv);
     std::string workload = "lu";
-    std::string trace_path;
     bool dump_stats = false;
-    bool characterize = false;
     MachineConfig cfg;
     apps::RunOptions opts;
-    apps::ObservabilityOptions obs;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -213,7 +195,7 @@ main(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
-        if (obs.parseArg(argc, argv, &i)) {
+        if (opts.obs.parseArg(argc, argv, &i)) {
             // consumed an observability flag
         } else if (arg == "--workload") {
             workload = value();
@@ -240,9 +222,9 @@ main(int argc, char **argv)
         } else if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--characterize") {
-            characterize = true;
+            opts.characterize = true;
         } else if (arg == "--trace") {
-            trace_path = value();
+            opts.tracePath = value();
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
         } else {
@@ -251,41 +233,18 @@ main(int argc, char **argv)
         }
     }
 
-    opts.characterize = characterize;
-    obs.apply(opts, ""); // single run: prefixes are used verbatim
-
-    // Tracing has to attach before the run, so drive the pieces that
-    // runWorkload() would otherwise wrap.
-    auto machine = std::make_unique<Machine>(cfg);
-    auto wl = apps::makeWorkload(workload, opts.scale);
-    std::unique_ptr<TraceWriter> tracer;
-    if (!trace_path.empty()) {
-        tracer = std::make_unique<TraceWriter>(trace_path);
-        machine->enableTracing(*tracer);
-    }
-    if (characterize)
-        machine->enableCharacterizers();
-    if (opts.sampleInterval > 0)
-        machine->enableSampling(opts.sampleInterval);
-    if (!opts.chromeTracePath.empty())
-        machine->enableChromeTrace(opts.chromeStart, opts.chromeEnd);
-    wl->attach(*machine);
-    machine->run();
-    if (!machine->allFinished()) {
+    apps::Run run = apps::runWorkload(workload, cfg, opts);
+    if (!run.finished) {
         std::fprintf(stderr, "error: machine did not quiesce\n");
         return 1;
     }
-    bool verified = wl->verify(*machine);
-    machine->checkCoherenceInvariants();
-    if (tracer)
-        tracer->close();
 
-    RunMetrics mx = machine->metrics();
+    const RunMetrics &mx = run.metrics;
     std::printf("workload         %s (scale %u)\n", workload.c_str(),
                 opts.scale);
     std::printf("scheme           %s (degree %u)\n",
                 toString(cfg.prefetch.scheme), cfg.prefetch.degree);
-    std::printf("verified         %s\n", verified ? "yes" : "NO");
+    std::printf("verified         %s\n", run.verified ? "yes" : "NO");
     std::printf("exec ticks       %llu\n",
                 static_cast<unsigned long long>(mx.execTicks));
     std::printf("loads / stores   %.0f / %.0f\n", mx.reads, mx.writes);
@@ -301,13 +260,13 @@ main(int argc, char **argv)
         std::printf("prefetches       none issued (eff —)\n");
     }
     std::printf("network flits    %.0f\n", mx.flits);
-    if (tracer)
+    if (run.trace)
         std::printf("trace            %llu records -> %s\n",
-                    static_cast<unsigned long long>(tracer->count()),
-                    trace_path.c_str());
+                    static_cast<unsigned long long>(run.trace->count()),
+                    opts.tracePath.c_str());
 
-    if (characterize) {
-        auto report = machine->characterizer(0)->finalize();
+    if (opts.characterize) {
+        auto report = run.machine->characterizer(0)->finalize();
         std::printf("\nnode-0 characteristics (Table-2 methodology):\n");
         std::printf("  stride misses   %.1f%%\n",
                     100.0 * report.strideFraction);
@@ -322,22 +281,7 @@ main(int argc, char **argv)
     }
     if (dump_stats) {
         std::printf("\n");
-        machine->dumpStats(std::cout);
+        run.machine->dumpStats(std::cout);
     }
-    if (!opts.statsJsonPath.empty()) {
-        writeFile(opts.statsJsonPath, [&](std::ostream &os) {
-            machine->dumpStatsJson(os);
-        });
-    }
-    if (!opts.sampleCsvPath.empty()) {
-        writeFile(opts.sampleCsvPath, [&](std::ostream &os) {
-            machine->sampler()->dumpCsv(os);
-        });
-    }
-    if (!opts.chromeTracePath.empty()) {
-        writeFile(opts.chromeTracePath, [&](std::ostream &os) {
-            machine->chromeTracer()->write(os);
-        });
-    }
-    return verified ? 0 : 1;
+    return run.verified ? 0 : 1;
 }

@@ -27,6 +27,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -34,6 +35,7 @@
 #include "core/ddet.hh"
 #include "core/idet.hh"
 #include "core/sequential.hh"
+#include "sim/parse.hh"
 #include "sim/stats.hh"
 #include "trace/trace.hh"
 
@@ -168,7 +170,8 @@ main(int argc, char **argv)
     bool salvage = false;
     for (int i = first_arg + 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--node") == 0 && i + 1 < argc)
-            node = static_cast<NodeId>(atoi(argv[++i]));
+            node = static_cast<NodeId>(parseUnsignedStrict("--node",
+                    argv[++i], std::numeric_limits<NodeId>::max()));
         else if (std::strcmp(argv[i], "--salvage") == 0)
             salvage = true;
         else
