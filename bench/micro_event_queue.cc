@@ -1,16 +1,14 @@
 /**
  * @file
- * Microbenchmarks (google-benchmark) of the event engine: schedule,
- * cancel and drain throughput for the workloads the machine generates
- * (short-delay schedules dominating, occasional long delays, cancels).
+ * Microbenchmarks (google-benchmark) of the event engine: schedule
+ * and drain throughput for the workloads the machine generates
+ * (short-delay schedules dominating, occasional long delays).
  *
  * `LegacyEventQueue` is a faithful copy of the seed engine
  * (std::function callbacks in a priority_queue, lazy-cancel list with
  * an O(n) scan per pop) so a single run quantifies the speedup of the
  * pooled/time-wheel engine; the `BM_Legacy*` numbers are the baseline
- * the acceptance criterion compares against. The 50%-cancel workload
- * is the stressing one: the legacy engine's cancel list makes it
- * quadratic in the batch size.
+ * the acceptance criterion compares against.
  */
 
 #include <benchmark/benchmark.h>
@@ -132,29 +130,6 @@ pureSchedule(benchmark::State &state)
                             static_cast<std::int64_t>(kBatch));
 }
 
-/** Schedule a batch, cancel every other event, drain the rest. */
-template <typename Queue>
-void
-halfCancel(benchmark::State &state)
-{
-    Queue eq;
-    std::uint64_t fired = 0;
-    std::vector<typename Queue::EventId> ids;
-    ids.reserve(kBatch);
-    for (auto _ : state) {
-        ids.clear();
-        for (std::size_t i = 0; i < kBatch; ++i)
-            ids.push_back(eq.scheduleIn(1 + (i % 97),
-                                        [&fired] { ++fired; }));
-        for (std::size_t i = 0; i < kBatch; i += 2)
-            eq.cancel(ids[i]);
-        eq.run();
-    }
-    benchmark::DoNotOptimize(fired);
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(kBatch));
-}
-
 /** Steady-state ping: every fired event schedules its successor. */
 template <typename Queue>
 void
@@ -197,12 +172,6 @@ void BM_LegacyPureSchedule(benchmark::State &s)
     pureSchedule<LegacyEventQueue>(s);
 }
 
-void BM_HalfCancel(benchmark::State &s) { halfCancel<EventQueue>(s); }
-void BM_LegacyHalfCancel(benchmark::State &s)
-{
-    halfCancel<LegacyEventQueue>(s);
-}
-
 void BM_WheelHit(benchmark::State &s) { wheelHit<EventQueue>(s); }
 void BM_FarSchedule(benchmark::State &s) { farSchedule<EventQueue>(s); }
 void BM_LegacyFarSchedule(benchmark::State &s)
@@ -212,8 +181,6 @@ void BM_LegacyFarSchedule(benchmark::State &s)
 
 BENCHMARK(BM_PureSchedule);
 BENCHMARK(BM_LegacyPureSchedule);
-BENCHMARK(BM_HalfCancel);
-BENCHMARK(BM_LegacyHalfCancel);
 BENCHMARK(BM_WheelHit);
 BENCHMARK(BM_FarSchedule);
 BENCHMARK(BM_LegacyFarSchedule);

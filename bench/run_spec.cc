@@ -94,6 +94,7 @@ parseBenchArgs(int argc, char **argv)
                        arg.c_str());
         }
     }
+    opt.exec.obs.validate();
     return opt;
 }
 

@@ -30,6 +30,7 @@ main(int argc, char **argv)
             return 1;
         }
     }
+    opts.obs.validate();
 
     std::printf("Figure-2 matrix multiplication on the 16-node "
                 "machine\n\n");

@@ -37,6 +37,7 @@ main(int argc, char **argv)
         }
         ++positional;
     }
+    opts.obs.validate();
 
     std::printf("workload: %s (scale %u), 16 processors, 32 B blocks, "
                 "infinite SLC\n\n", workload.c_str(), opts.scale);

@@ -39,6 +39,7 @@ main(int argc, char **argv)
         }
         ++positional;
     }
+    opts.obs.validate();
 
     std::printf("%s (scale %u) across the paper's design space\n\n",
                 workload.c_str(), opts.scale);

@@ -30,20 +30,35 @@
 namespace psim::apps
 {
 
+/**
+ * Stable synthetic PC for the access site at @p line:@p column of
+ * @p file (word-aligned). Only the file's basename is hashed, so PCs
+ * do not depend on the directory the sources were built from.
+ */
+inline Pc
+pcOf(const char *file, std::uint_least32_t line, std::uint_least32_t column)
+{
+    for (const char *p = file; *p; ++p) {
+        if (*p == '/')
+            file = p + 1;
+    }
+    // FNV-1a over the basename, mixed with line and column. Shifted
+    // left so PCs look word-aligned, as real instruction addresses do.
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const char *p = file; *p; ++p) {
+        h ^= static_cast<unsigned char>(*p);
+        h *= 1099511628211ULL;
+    }
+    h ^= static_cast<std::uint64_t>(line) * 2654435761ULL;
+    h ^= static_cast<std::uint64_t>(column) * 40503ULL;
+    return static_cast<Pc>(h << 2);
+}
+
 /** Stable synthetic PC for a static access site (word-aligned). */
 inline Pc
 pcOf(const std::source_location &loc)
 {
-    // FNV-1a over the file name, mixed with line and column. Shifted
-    // left so PCs look word-aligned, as real instruction addresses do.
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const char *p = loc.file_name(); *p; ++p) {
-        h ^= static_cast<unsigned char>(*p);
-        h *= 1099511628211ULL;
-    }
-    h ^= static_cast<std::uint64_t>(loc.line()) * 2654435761ULL;
-    h ^= static_cast<std::uint64_t>(loc.column()) * 40503ULL;
-    return static_cast<Pc>(h << 2);
+    return pcOf(loc.file_name(), loc.line(), loc.column());
 }
 
 class ThreadCtx

@@ -35,8 +35,8 @@ runWorkload(const std::string &workload_name, const MachineConfig &cfg,
             const RunOptions &opts)
 {
     const ObservabilityOptions &obs = opts.obs;
-    if (!obs.sampleCsvPrefix.empty() && obs.sampleInterval == 0)
-        psim_fatal("--sample-csv needs --sample-interval");
+    psim_assert(obs.sampleCsvPrefix.empty() || obs.sampleInterval > 0,
+            "sampler CSV without a sample interval");
     auto outPath = [&opts](const std::string &prefix, const char *ext) {
         return opts.cell.empty() ? prefix : prefix + opts.cell + ext;
     };
@@ -125,6 +125,13 @@ ObservabilityOptions::parseArg(int argc, char **argv, int *i)
         return true;
     }
     return false;
+}
+
+void
+ObservabilityOptions::validate() const
+{
+    if (!sampleCsvPrefix.empty() && sampleInterval == 0)
+        psim_fatal("--sample-csv needs --sample-interval");
 }
 
 } // namespace psim::apps

@@ -64,6 +64,13 @@ struct ObservabilityOptions
      * any consumed value. Fatal on a missing or malformed value.
      */
     bool parseArg(int argc, char **argv, int *i);
+
+    /**
+     * Reject flag combinations that no run could honour (fatal). Call
+     * once, after every argument is parsed and before any run starts:
+     * runWorkload() may run on many grid threads at once.
+     */
+    void validate() const;
 };
 
 struct RunOptions

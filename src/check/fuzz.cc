@@ -113,16 +113,27 @@ runOneScheme(const ProgramSpec &spec, PrefetchScheme scheme,
     return run;
 }
 
+namespace
+{
+
+/** One run per fuzzSchemes() entry, in that order (baseline first). */
+std::vector<SchemeRun>
+runAllSchemes(const ProgramSpec &spec, const TestHooks &hooks,
+              Tick tick_limit, unsigned shards)
+{
+    std::vector<SchemeRun> runs;
+    runs.reserve(fuzzSchemes().size());
+    for (PrefetchScheme s : fuzzSchemes())
+        runs.push_back(runOneScheme(spec, s, hooks, tick_limit, shards));
+    return runs;
+}
+
+/** The differential verdict over runAllSchemes()'s results. */
 bool
-specDiverges(const ProgramSpec &spec, const TestHooks &hooks,
-             Tick tick_limit, std::string *why, unsigned shards)
+runsDiverge(const std::vector<SchemeRun> &runs, Tick tick_limit,
+            std::string *why)
 {
     const auto &schemes = fuzzSchemes();
-    std::vector<SchemeRun> runs;
-    runs.reserve(schemes.size());
-    for (PrefetchScheme s : schemes)
-        runs.push_back(runOneScheme(spec, s, hooks, tick_limit, shards));
-
     for (std::size_t i = 0; i < schemes.size(); ++i) {
         const char *name = toString(schemes[i]);
         const SchemeRun &r = runs[i];
@@ -165,6 +176,16 @@ specDiverges(const ProgramSpec &spec, const TestHooks &hooks,
     return false;
 }
 
+} // namespace
+
+bool
+specDiverges(const ProgramSpec &spec, const TestHooks &hooks,
+             Tick tick_limit, std::string *why, unsigned shards)
+{
+    return runsDiverge(runAllSchemes(spec, hooks, tick_limit, shards),
+                       tick_limit, why);
+}
+
 namespace
 {
 
@@ -176,14 +197,13 @@ checkSeed(std::uint64_t seed, const FuzzOptions &opts)
     ProgramSpec spec = ProgramSpec::generate(seed);
     out.spec = spec.describe();
 
+    std::vector<SchemeRun> runs = runAllSchemes(spec, opts.hooks,
+            opts.tickLimit, opts.shards);
     // Count checked loads from one representative run (baseline).
-    SchemeRun base = runOneScheme(spec, PrefetchScheme::None,
-            opts.hooks, opts.tickLimit, opts.shards);
-    out.loadsChecked = base.oracle.loadsChecked;
+    out.loadsChecked = runs.front().oracle.loadsChecked;
 
     std::string why;
-    if (!specDiverges(spec, opts.hooks, opts.tickLimit, &why,
-                opts.shards)) {
+    if (!runsDiverge(runs, opts.tickLimit, &why)) {
         out.ok = true;
         return out;
     }

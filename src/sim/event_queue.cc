@@ -49,11 +49,8 @@ EventQueue::allocSlot()
 void
 EventQueue::freeSlot(std::uint32_t slot)
 {
-    Event &e = _pool[slot];
-    e.cb.reset();
-    e.live = false;
-    ++e.gen; // invalidate every outstanding EventId for this slot
-    e.next = _freeHead;
+    // The callback was already moved out for invocation.
+    _pool[slot].next = _freeHead;
     _freeHead = slot;
 }
 
@@ -96,60 +93,36 @@ EventQueue::firstOccupiedBucket(std::uint32_t from) const
 }
 
 bool
-EventQueue::peekNext(Next &n)
+EventQueue::peekNext(Next &n) const
 {
     // Candidate from the wheel: the first occupied bucket in circular
     // order from now's position holds the minimal wheel tick (all wheel
-    // events lie in [now, now + kWheelSize)). Reclaim dead heads as we
-    // go; `when` is non-decreasing along a bucket chain, so a live head
-    // is the bucket minimum.
+    // events lie in [now, now + kWheelSize)), and `when` is
+    // non-decreasing along a bucket chain, so its head is the minimum.
     std::uint32_t wslot = kNil;
     std::uint32_t wbucket = 0;
-    while (_wheelCount > 0) {
-        std::uint32_t b = firstOccupiedBucket(
+    if (_wheelCount > 0) {
+        wbucket = firstOccupiedBucket(
                 static_cast<std::uint32_t>(_now) & kWheelMask);
-        psim_assert(b != kNil, "wheel count/bitmap out of sync");
-        std::uint32_t head = _bucketHead[b];
-        while (head != kNil && !_pool[head].live) {
-            std::uint32_t dead = head;
-            head = _pool[dead].next;
-            freeSlot(dead);
-            --_wheelCount;
-        }
-        _bucketHead[b] = head;
-        if (head == kNil) {
-            _bucketTail[b] = kNil;
-            _occupied[b >> 6] &= ~(1ULL << (b & 63));
-            continue;
-        }
-        wslot = head;
-        wbucket = b;
-        break;
+        psim_assert(wbucket != kNil, "wheel count/bitmap out of sync");
+        wslot = _bucketHead[wbucket];
     }
 
-    // Candidate from the overflow heap, likewise reclaiming dead tops.
-    while (!_heap.empty() && !_pool[_heap.front().slot].live) {
-        std::uint32_t dead = _heap.front().slot;
-        std::pop_heap(_heap.begin(), _heap.end());
-        _heap.pop_back();
-        freeSlot(dead);
-    }
-
-    if (wslot == kNil && _heap.empty())
-        return false;
-
-    if (wslot != kNil && !_heap.empty()) {
-        const Event &w = _pool[wslot];
-        const HeapEntry &h = _heap.front();
-        if (h.when < w.when || (h.when == w.when && h.seq < w.seq)) {
-            n = Next{h.slot, 0, false};
-            return true;
-        }
-    } else if (wslot == kNil) {
-        n = Next{_heap.front().slot, 0, false};
+    if (_heap.empty()) {
+        if (wslot == kNil)
+            return false;
+        n = Next{wslot, wbucket, true};
         return true;
     }
-    n = Next{wslot, wbucket, true};
+    const HeapEntry &h = _heap.front();
+    if (wslot != kNil) {
+        const Event &w = _pool[wslot];
+        if (w.when < h.when || (w.when == h.when && w.seq < h.seq)) {
+            n = Next{wslot, wbucket, true};
+            return true;
+        }
+    }
+    n = Next{h.slot, 0, false};
     return true;
 }
 
@@ -182,9 +155,7 @@ EventQueue::fire(const Next &n)
     _now = e.when;
     Callback cb = std::move(e.cb);
     _ctxOwner = e.owner;
-    --_live;
-    // Free the slot before invoking so the callback can schedule into
-    // it; the generation bump keeps the old EventId stale.
+    // Free the slot before invoking so the callback can schedule into it.
     freeSlot(n.slot);
     cb();
 }
@@ -211,7 +182,7 @@ EventQueue::runWindow(Tick end)
         _stagingActive = true;
         do {
             const Event &e = _pool[n.slot];
-            StagedEntry staged{e.seq, n.slot, e.gen};
+            StagedEntry staged{e.seq, n.slot};
             removeNext(n);
             _staging.push_back(staged);
             std::push_heap(_staging.begin(), _staging.end());
@@ -227,15 +198,8 @@ EventQueue::runWindow(Tick end)
             StagedEntry s = _staging.back();
             _staging.pop_back();
             Event &e = _pool[s.slot];
-            if (e.gen != s.gen)
-                continue; // slot freed (and possibly reused) already
-            if (!e.live) {
-                freeSlot(s.slot); // cancelled while staged
-                continue;
-            }
             Callback cb = std::move(e.cb);
             _ctxOwner = e.owner;
-            --_live;
             freeSlot(s.slot);
             cb();
         }
@@ -266,32 +230,6 @@ EventQueue::run(Tick limit)
         fire(n);
     }
     return _now;
-}
-
-void
-EventQueue::reset()
-{
-    for (std::size_t s = 0; s < _pool.size(); ++s) {
-        Event &e = _pool[s];
-        e.cb.reset();
-        e.live = false;
-        ++e.gen;
-        e.next = s + 1 < _pool.size()
-                ? static_cast<std::uint32_t>(s + 1) : kNil;
-    }
-    _freeHead = _pool.empty() ? kNil : 0;
-    _bucketHead.fill(kNil);
-    _bucketTail.fill(kNil);
-    _occupied.fill(0);
-    _wheelCount = 0;
-    _heap.clear();
-    _live = 0;
-    _now = 0;
-    _nextSeq = 1;
-    _staging.clear();
-    _stagingActive = false;
-    _ctxOwner = 0;
-    _ownerCtr.assign(_ownerCtr.size(), 0);
 }
 
 } // namespace psim

@@ -8,9 +8,10 @@
  *
  * The engine is allocation-free in steady state:
  *
- *  - Events live in a preallocated, free-listed pool; an EventId packs
- *    (slot, generation) so cancel() is an O(1) generation check instead
- *    of the old lazy-delete list with its O(n) scan per pop.
+ *  - Events sit in a preallocated, free-listed pool. A scheduled
+ *    event always fires (no component needs to retract one), so a
+ *    slot holds only the event itself, and the front of every
+ *    container is the next event to fire.
  *  - Callbacks are stored inline (InlineCallback) with no heap
  *    fallback; an oversized capture list is a compile error.
  *  - Short-delay schedules — the overwhelmingly common case (cache,
@@ -58,9 +59,6 @@ class EventQueue
 
     using Callback = InlineCallback<kCallbackCapacity>;
 
-    /** Opaque handle for cancelling a scheduled event. */
-    using EventId = std::uint64_t;
-
     EventQueue();
     ~EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
@@ -78,7 +76,7 @@ class EventQueue
     void
     setShardOrder(unsigned num_owners)
     {
-        psim_assert(_live == 0, "setShardOrder on a non-empty queue");
+        psim_assert(empty(), "setShardOrder on a non-empty queue");
         _shardOrder = true;
         _ownerCtr.assign(num_owners, 0);
     }
@@ -94,9 +92,8 @@ class EventQueue
     /**
      * Schedule @p cb at absolute tick @p when.
      * @pre when >= now()
-     * @return handle usable with cancel()
      */
-    EventId
+    void
     schedule(Tick when, Callback cb)
     {
         psim_assert(when >= _now,
@@ -115,21 +112,18 @@ class EventQueue
         }
         e.cb = std::move(cb);
         e.next = kNil;
-        e.live = true;
-        ++_live;
         if (_stagingActive && when == _stagingTick) {
             // runWindow is draining this very tick: a same-tick child
             // must enter the staging heap directly, where its seq places
-            // it relative to the entries still pending (a wheel bucket
+            // it relative to the entries still staged (a wheel bucket
             // would only be looked at again next tick).
-            _staging.push_back(StagedEntry{e.seq, slot, e.gen});
+            _staging.push_back(StagedEntry{e.seq, slot});
             std::push_heap(_staging.begin(), _staging.end());
         } else if (when - _now < kWheelSize) {
             wheelInsert(slot, when);
         } else {
             heapInsert(slot, when, e.seq);
         }
-        return makeId(e.gen, slot);
     }
 
     /**
@@ -137,50 +131,28 @@ class EventQueue
      * at a window boundary: the event's ordering key must be stamped
      * from the destination node's counter, not the caller's context).
      */
-    EventId
+    void
     scheduleRemote(Tick when, NodeId owner, Callback cb)
     {
         NodeId saved = _ctxOwner;
         _ctxOwner = owner;
-        EventId id = schedule(when, std::move(cb));
+        schedule(when, std::move(cb));
         _ctxOwner = saved;
-        return id;
     }
 
     /** Schedule @p cb @p delta ticks from now. */
-    EventId
+    void
     scheduleIn(Tick delta, Callback cb)
     {
-        return schedule(_now + delta, std::move(cb));
+        schedule(_now + delta, std::move(cb));
     }
 
-    /**
-     * Cancel a previously scheduled event in O(1). Cancelling an event
-     * that has already fired (or been cancelled) is a no-op: the
-     * generation check rejects the stale handle without accumulating
-     * any per-cancel state.
-     */
-    void
-    cancel(EventId id)
+    /** True when the wheel, the heap and the staging heap are empty. */
+    bool
+    empty() const
     {
-        std::uint32_t slot = slotOf(id);
-        if (slot >= _pool.size())
-            return;
-        Event &e = _pool[slot];
-        if (e.gen != genOf(id) || !e.live)
-            return;
-        e.live = false;
-        e.cb.reset();
-        --_live;
-        // The slot stays linked in its wheel bucket / heap entry and is
-        // reclaimed when the cursor reaches it.
+        return _wheelCount == 0 && _heap.empty() && _staging.empty();
     }
-
-    /** True when no live events remain. */
-    bool empty() const { return _live == 0; }
-
-    /** Number of events still pending. */
-    std::size_t pending() const { return _live; }
 
     /**
      * Run the next event. @return false if the queue was empty.
@@ -193,9 +165,9 @@ class EventQueue
      */
     Tick run(Tick limit = kTickNever);
 
-    /** Tick of the earliest live event, or kTickNever when drained. */
+    /** Tick of the earliest scheduled event, or kTickNever when drained. */
     Tick
-    nextWhen()
+    nextWhen() const
     {
         Next n;
         return peekNext(n) ? _pool[n.slot].when : kTickNever;
@@ -203,13 +175,13 @@ class EventQueue
 
     /**
      * Jump time forward to @p t without running anything.
-     * @pre no live event is scheduled before @p t
+     * @pre no event is scheduled before @p t
      */
     void
     advanceTo(Tick t)
     {
         psim_assert(t >= _now, "advanceTo into the past");
-        psim_assert(nextWhen() >= t, "advanceTo over a pending event");
+        psim_assert(nextWhen() >= t, "advanceTo over a scheduled event");
         _now = t;
     }
 
@@ -219,9 +191,6 @@ class EventQueue
      * order regardless of which container held them. @return now().
      */
     Tick runWindow(Tick end);
-
-    /** Drop all pending events and reset time to zero. */
-    void reset();
 
   private:
     static constexpr std::uint32_t kNil = 0xffffffffu;
@@ -234,24 +203,18 @@ class EventQueue
         Tick when = 0;
         std::uint64_t seq = 0;
         Callback cb;
-        std::uint32_t gen = 1;  ///< bumped on free; stale ids mismatch
         std::uint32_t next = kNil; ///< bucket chain or free list
         NodeId owner = 0;       ///< sharded mode: scheduling node
-        bool live = false;
     };
 
     /**
      * One same-tick event pulled out of its container by runWindow,
-     * waiting in the staging min-heap for its seq-ordered turn. The
-     * (gen, live) pair is re-validated at pop: the event may have been
-     * cancelled while staged, and its slot may even have been freed and
-     * reused by an earlier same-tick callback.
+     * waiting in the staging min-heap for its seq-ordered turn.
      */
     struct StagedEntry
     {
         std::uint64_t seq;
         std::uint32_t slot;
-        std::uint32_t gen;
 
         bool
         operator<(const StagedEntry &o) const
@@ -277,29 +240,13 @@ class EventQueue
         }
     };
 
-    /** Where peekNext() found the next live event. */
+    /** Where peekNext() found the next event. */
     struct Next
     {
         std::uint32_t slot;
         std::uint32_t bucket; ///< valid when wheel
         bool wheel;
     };
-
-    static EventId
-    makeId(std::uint32_t gen, std::uint32_t slot)
-    {
-        return (static_cast<EventId>(gen) << 32) | slot;
-    }
-
-    static std::uint32_t slotOf(EventId id)
-    {
-        return static_cast<std::uint32_t>(id);
-    }
-
-    static std::uint32_t genOf(EventId id)
-    {
-        return static_cast<std::uint32_t>(id >> 32);
-    }
 
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t slot);
@@ -312,20 +259,19 @@ class EventQueue
     std::uint32_t firstOccupiedBucket(std::uint32_t from) const;
 
     /**
-     * Reclaim dead events at the container fronts and locate the next
-     * live event without removing it. @return false when drained.
+     * Locate the next event without removing it.
+     * @return false when drained.
      */
-    bool peekNext(Next &n);
+    bool peekNext(Next &n) const;
 
     /** Remove the event found by peekNext() from its container. */
     void removeNext(const Next &n);
 
-    /** Pop, free and invoke the (live) event found by peekNext(). */
+    /** Pop, free and invoke the event found by peekNext(). */
     void fire(const Next &n);
 
     Tick _now = 0;
     std::uint64_t _nextSeq = 1;
-    std::size_t _live = 0;
 
     // Sharded deterministic ordering (setShardOrder / runWindow).
     bool _shardOrder = false;

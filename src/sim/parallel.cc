@@ -1,81 +1,14 @@
 #include "sim/parallel.hh"
 
+#include <atomic>
 #include <cstdlib>
-#include <string>
+#include <thread>
+#include <vector>
 
 #include "sim/logging.hh"
 
 namespace psim
 {
-
-ThreadPool::ThreadPool(unsigned workers)
-{
-    if (workers == 0)
-        workers = 1;
-    _threads.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i)
-        _threads.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lk(_mx);
-        _stop = true;
-    }
-    _wake.notify_all();
-    for (auto &t : _threads)
-        t.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> job)
-{
-    {
-        std::lock_guard<std::mutex> lk(_mx);
-        psim_assert(!_stop, "submit to a stopped thread pool");
-        _queue.push_back(std::move(job));
-        ++_inflight;
-    }
-    _wake.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lk(_mx);
-    _drained.wait(lk, [this] { return _inflight == 0; });
-    if (_error) {
-        std::exception_ptr e = _error;
-        _error = nullptr;
-        std::rethrow_exception(e);
-    }
-}
-
-void
-ThreadPool::workerLoop()
-{
-    std::unique_lock<std::mutex> lk(_mx);
-    for (;;) {
-        _wake.wait(lk, [this] { return _stop || !_queue.empty(); });
-        if (_queue.empty())
-            return; // stopping and drained
-        std::function<void()> job = std::move(_queue.front());
-        _queue.pop_front();
-        lk.unlock();
-        std::exception_ptr err;
-        try {
-            job();
-        } catch (...) {
-            err = std::current_exception();
-        }
-        lk.lock();
-        if (err && !_error)
-            _error = err;
-        if (--_inflight == 0)
-            _drained.notify_all();
-    }
-}
 
 unsigned
 resolveJobs(unsigned requested)
@@ -99,15 +32,15 @@ runGrid(std::size_t n, unsigned jobs,
 {
     if (jobs > n)
         jobs = static_cast<unsigned>(n);
-    if (jobs <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
+    std::atomic<std::size_t> next{0};
+    auto pull = [&] {
+        for (std::size_t i; (i = next.fetch_add(1)) < n;)
             fn(i);
-        return;
-    }
-    ThreadPool pool(jobs);
-    for (std::size_t i = 0; i < n; ++i)
-        pool.submit([&fn, i] { fn(i); });
-    pool.wait();
+    };
+    std::vector<std::jthread> helpers; // joined on scope exit
+    for (unsigned t = 1; t < jobs; ++t)
+        helpers.emplace_back(pull);
+    pull();
 }
 
 } // namespace psim

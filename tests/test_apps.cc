@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/ctx.hh"
 #include "apps/driver.hh"
 
 using namespace psim;
@@ -123,6 +124,19 @@ TEST(Apps, LocksAreActuallyUsedByPthor)
     for (NodeId n = 0; n < cfg.numProcs; ++n)
         locks += run.machine->node(n).cpu().locks.value();
     EXPECT_GT(locks, 0.0);
+}
+
+TEST(Apps, SitePcDependsOnBasenameLineAndColumnOnly)
+{
+    // Two checkouts of the same source give the same PC for a site.
+    EXPECT_EQ(pcOf("/home/a/psim/src/apps/lu.cc", 42, 9),
+              pcOf("/tmp/build-b/src/apps/lu.cc", 42, 9));
+    EXPECT_EQ(pcOf("lu.cc", 42, 9),
+              pcOf("/tmp/build-b/src/apps/lu.cc", 42, 9));
+    EXPECT_NE(pcOf("lu.cc", 42, 9), pcOf("lu.cc", 43, 9));
+    EXPECT_NE(pcOf("lu.cc", 42, 9), pcOf("lu.cc", 42, 10));
+    EXPECT_NE(pcOf("lu.cc", 42, 9), pcOf("ocean.cc", 42, 9));
+    EXPECT_EQ(pcOf("lu.cc", 42, 9) % 4, 0u);
 }
 
 TEST(AppsDeath, UnknownWorkloadNameIsFatal)

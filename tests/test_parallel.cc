@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the parallel experiment runner: thread-pool semantics,
- * grid coverage, and — the contract every bench harness relies on —
+ * Tests for the parallel experiment runner: grid coverage, and — the contract every bench harness relies on —
  * that a grid run with jobs=1 and jobs=8 produces identical Stats
  * snapshots and identical table text.
  */
@@ -11,48 +10,12 @@
 #include <atomic>
 #include <cstdio>
 #include <sstream>
-#include <stdexcept>
 #include <vector>
 
 #include "apps/driver.hh"
 #include "sim/parallel.hh"
 
 using namespace psim;
-
-TEST(ThreadPool, RunsEverySubmittedJob)
-{
-    ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusable)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-    pool.submit([&] { ++count; });
-    pool.submit([&] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPool, RethrowsFirstJobException)
-{
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("cell failed"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    // The pool must still be usable afterwards.
-    std::atomic<int> count{0};
-    pool.submit([&] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-}
 
 TEST(RunGrid, CoversEveryIndexExactlyOnce)
 {

@@ -111,37 +111,6 @@ TEST(ShardedQueue, SameTickChildrenFireThisTickAfterParents)
     EXPECT_TRUE(eq.empty());
 }
 
-TEST(ShardedQueue, CancelOfPendingAndStagedEvents)
-{
-    EventQueue eq;
-    eq.setShardOrder(2);
-    eq.setContextOwner(0);
-    std::vector<int> order;
-
-    // Cancel before the window: never fires.
-    EventQueue::EventId a = eq.schedule(4, [&] { order.push_back(-1); });
-    eq.cancel(a);
-
-    // Cancel from a same-tick event with lower seq: the victim has
-    // already been pulled into the staging heap when the canceller
-    // runs, so this exercises the staged-cancellation path.
-    EventQueue::EventId b = 0;
-    eq.schedule(6, [&] {
-        order.push_back(1);
-        eq.cancel(b);
-    });
-    b = eq.scheduleRemote(6, 1, [&] { order.push_back(-2); });
-    eq.scheduleRemote(6, 1, [&] { order.push_back(2); });
-
-    eq.runWindow(10);
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_TRUE(eq.empty());
-
-    // Double-cancel and cancel-after-fire are no-ops.
-    eq.cancel(a);
-    eq.cancel(b);
-}
-
 TEST(ShardedQueue, RunWindowAdvancesNowToWindowStartAtMost)
 {
     EventQueue eq;

@@ -232,6 +232,7 @@ main(int argc, char **argv)
             usage(argv[0]);
         }
     }
+    opts.obs.validate();
 
     apps::Run run = apps::runWorkload(workload, cfg, opts);
     if (!run.finished) {
